@@ -2,12 +2,11 @@
 
 A v-absorber is a clique on 2k vertices drawn from the neighborhood of v,
 split into two halves that each have a large common neighborhood.  Laid
-
 down consecutively inside a path, the segment stays a valid k-path whether
 or not v is spliced into its midpoint, because v is adjacent to all 2k
 segment vertices and any window containing v sees only segment vertices.
 
-The module covers the full lifecycle: enumerate candidate absorbers per
+The module covers the full lifecycle: draw candidate absorbers per
 vertex, sample a pairwise disjoint family with per-vertex rate limiting,
 join the family into one absorbing path, and finally absorb a set of
 leftover vertices by matching them to free segments.
@@ -23,7 +22,8 @@ from typing import Iterable
 
 from .connector import ConnectRequest, connect
 from .errors import AssemblyError, CapacityError, InputError
-from .graph import Graph, is_clique, list_cliques, mask_of, verts_of
+from .graph import (Graph, common_neighborhood_mask, is_clique, list_cliques,
+                    mask_of, verts_of)
 from .pathcover import KPath, is_valid_kpath
 from .properties import is_connectable
 from .rng import DEFAULT_SEED, SplitMix64
@@ -78,33 +78,20 @@ def is_valid_absorber(g: Graph, ab: VAbsorber, zeta: Fraction) -> bool:
             and is_connectable(g, ab.y_half, threshold))
 
 
-def find_v_absorbers(g: Graph, v: int, k: int, zeta: Fraction,
-                     limit: int | None = None) -> list[VAbsorber]:
-    """Enumerate absorbers for v in a fixed deterministic order.
+def _split(g: Graph, clique: tuple[int, ...], threshold: int
+           ) -> tuple[int, ...] | None:
+    """First x-half + y-half split of a 2k-clique with both halves connectable.
 
-    Each 2k-clique inside N(v) contributes at most one absorber: the first
-    half/half split (in index order, with the smallest vertex pinned to the
-    x-half) where both halves clear the connectable threshold.  Returns an
-    empty list when deg(v) < 2k or no split qualifies.
+    Index order, clique[0] pinned to the x-half; None when none qualifies.
     """
-    if k < 1:
-        raise InputError("k must be >= 1")
-    if not 0 <= v < g.n:
-        raise InputError("vertex out of range")
-    zeta = Fraction(zeta)
-    threshold = ceil(zeta * g.n)
-    out: list[VAbsorber] = []
-    for cl in list_cliques(g, 2 * k, within=g.adj[v]):
-        for rest in combinations(range(1, 2 * k), k - 1):
-            xs = (cl[0],) + tuple(cl[i] for i in rest)
-            ys = tuple(u for u in cl if u not in xs)
-            if (is_connectable(g, xs, threshold)
-                    and is_connectable(g, ys, threshold)):
-                out.append(VAbsorber(v, xs + ys))
-                break
-        if limit is not None and len(out) >= limit:
-            break
-    return out
+    k = len(clique) // 2
+    for rest in combinations(range(1, 2 * k), k - 1):
+        xs = (clique[0],) + tuple(clique[i] for i in rest)
+        ys = tuple(u for u in clique if u not in xs)
+        if (is_connectable(g, xs, threshold)
+                and is_connectable(g, ys, threshold)):
+            return xs + ys
+    return None
 
 
 @dataclass(frozen=True)
@@ -200,14 +187,7 @@ def _draw_candidates(g: Graph, v: int, k: int, threshold: int, p: Fraction,
         seen.add(tup)
         if not is_clique(g, tup):
             continue
-        split = None
-        for rest in combinations(range(1, 2 * k), k - 1):
-            xs = (tup[0],) + tuple(tup[i] for i in rest)
-            ys = tuple(u for u in tup if u not in xs)
-            if (is_connectable(g, xs, threshold)
-                    and is_connectable(g, ys, threshold)):
-                split = xs + ys
-                break
+        split = _split(g, tup, threshold)
         if split is not None and rng.chance(p):
             out.append(VAbsorber(v, split))
     return out
@@ -293,20 +273,10 @@ def sample_family(g: Graph, k: int, zeta: Fraction, p: Fraction, seed: int = DEF
             # absorbs vertices adjacent to all 2k of its members
             best = None
             for cl in list_cliques(g, 2 * k, within=within):
-                common = g.full_mask()
-                for u in cl:
-                    common &= g.adj[u]
-                score = common.bit_count()
+                score = common_neighborhood_mask(g, cl).bit_count()
                 if best is not None and score <= best[0]:
                     continue
-                split = None
-                for rest in combinations(range(1, 2 * k), k - 1):
-                    xs = (cl[0],) + tuple(cl[i] for i in rest)
-                    ys = tuple(u for u in cl if u not in xs)
-                    if (is_connectable(g, xs, threshold)
-                            and is_connectable(g, ys, threshold)):
-                        split = xs + ys
-                        break
+                split = _split(g, cl, threshold)
                 if split is not None:
                     best = (score, split)
             if best is not None:

@@ -26,9 +26,9 @@ from .constants import connector_constants, main_constants
 from .errors import InputError, PowerhamError, SizeError
 from .generators import GenSpec, generate
 from .graph import from_text, to_text
-from .hamiltonian import (Certificate, PipelineConfig, brute_force_oracle,
-                          find_hamiltonian_power, find_with_hitting_sets,
-                          verify)
+from .hamiltonian import (STAGES, Certificate, PipelineConfig,
+                          brute_force_oracle, find_hamiltonian_power,
+                          find_with_hitting_sets, verify)
 from .properties import (denseness_exact, denseness_heuristic,
                          inseparable_exact, inseparable_heuristic,
                          robustly_matchable_exact)
@@ -54,6 +54,22 @@ def _rational(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise InputError(f"not a rational number: '{text}'")
+
+
+def _int(value) -> int:
+    # argv fields and JSON values; int() would truncate floats and take bools
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise InputError(f"not an integer: '{value}'")
+
+
+def _int_list(value, what: str) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be a JSON list of integers")
+    return tuple(_int(v) for v in value)
 
 
 def _read_text(path: str) -> str:
@@ -84,8 +100,8 @@ def _parse_certificate(text: str) -> Certificate:
         data = data["certificate"]
     if not isinstance(data, dict) or "k" not in data or "ordering" not in data:
         raise InputError("certificate JSON needs 'k' and 'ordering' fields")
-    return Certificate(int(data["k"]),
-                       tuple(int(x) for x in data["ordering"]))
+    return Certificate(_int(data["k"]),
+                       _int_list(data["ordering"], "certificate ordering"))
 
 
 # ----------------------------------------------------------------- generate
@@ -100,7 +116,7 @@ def _cmd_generate(args) -> int:
     elif fam == "multipartite":
         if not args.parts:
             raise InputError("family 'multipartite' needs --parts")
-        parts = [int(x) for x in args.parts.split(",") if x]
+        parts = [_int(x) for x in args.parts.split(",") if x]
         spec = GenSpec(fam, {"parts": parts})
     elif fam in ("two_cliques", "clique_complement"):
         if args.n is None or args.mu is None:
@@ -186,11 +202,14 @@ def _cmd_find(args) -> int:
 
     tallies = None
     if args.hitting_sets is not None:
-        raw = json.loads(_read_text(args.hitting_sets))
+        try:
+            raw = json.loads(_read_text(args.hitting_sets))
+        except json.JSONDecodeError as e:
+            raise InputError(f"hitting sets file is not valid JSON: {e}")
         if not isinstance(raw, list):
             raise InputError("hitting sets file must hold a JSON list "
                              "of vertex lists")
-        sets = [tuple(int(v) for v in s) for s in raw]
+        sets = [_int_list(s, f"hitting set {i}") for i, s in enumerate(raw)]
         res = find_with_hitting_sets(g, cfg, sets)
         tallies = list(res.tallies) if res.ok else None
     else:
@@ -322,16 +341,13 @@ def _parse_sweep(spec: str) -> tuple[list[int], list[Fraction], list[int], int]:
     if missing:
         raise InputError(f"sweep spec is missing {sorted(missing)}; "
                          "expected 'n=..;p=..;k=..;seeds=N'")
-    ns = [int(x) for x in fields["n"].split(",")]
-    ks = [int(x) for x in fields["k"].split(",")]
+    ns = [_int(x) for x in fields["n"].split(",")]
+    ks = [_int(x) for x in fields["k"].split(",")]
     ps = [_rational(x) for x in fields.get("p", "3/4").split(",")]
-    seeds = int(fields["seeds"])
+    seeds = _int(fields["seeds"])
     if seeds < 1:
         raise InputError("sweep needs at least one seed")
     return ns, ps, ks, seeds
-
-
-STAGE_COLUMNS = ("absorbing_path", "reservoir", "cover", "connect", "absorb")
 
 
 def _cmd_bench(args) -> int:
@@ -347,7 +363,7 @@ def _cmd_bench(args) -> int:
             row = {"n": n, "p": str(p), "k": k, "seed": seed,
                    "success": int(res.ok),
                    "stage": res.report.failed_stage or ""}
-            for name in STAGE_COLUMNS:
+            for name in STAGES:
                 row[f"t_{name}"] = f"{timings.get(name, 0.0):.6f}"
             row["t_total"] = f"{sum(timings.values()):.6f}"
             rows.append(row)
@@ -355,7 +371,7 @@ def _cmd_bench(args) -> int:
         print(f"cell n={n} p={p} k={k}: {wins}/{seeds}", file=sys.stderr)
 
     header = ["n", "p", "k", "seed", "success", "stage"]
-    header += [f"t_{name}" for name in STAGE_COLUMNS] + ["t_total"]
+    header += [f"t_{name}" for name in STAGES] + ["t_total"]
     out = sys.stdout if args.out == "-" else open(args.out, "w",
                                                   encoding="utf-8",
                                                   newline="")

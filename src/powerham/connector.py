@@ -1,19 +1,13 @@
 """Short k-paths between two prescribed ordered cliques.
 
-Two independent constructions live here.  The workhorse is an exact search
-over end-tuple states: a partial path is summarized by its last k vertices,
-a new vertex must land in the AND of their adjacency rows, and iterative
-deepening on the inner-vertex count finds a shortest connection first (the
-depth-limited DFS explores exactly the breadth-first skeleton, but keeps
-on-path disjointness exact).  Docking against the target tuple is pruned
-early with prefix-ANDs of the target's adjacency rows, then re-verified by
-literally appending the target vertices through the same window checks.
-
-The second construction grows a rope: a walk between the two neighborhoods
-whose singletons get blown up into k-cliques chosen inside the common
-neighborhood of the surrounding parts.  It is randomized, retried on dead
-ends, and kept because it scales to regimes where exact search cannot go;
-the exact search is what the completeness tests pin down.
+The construction is an exact search over end-tuple states: a partial path
+is summarized by its last k vertices, a new vertex must land in the AND of
+their adjacency rows, and iterative deepening on the inner-vertex count
+finds a shortest connection first (the depth-limited DFS explores exactly
+the breadth-first skeleton, but keeps on-path disjointness exact).
+Docking against the target tuple is pruned early with prefix-ANDs of the
+target's adjacency rows, then re-verified by literally appending the target
+vertices through the same window checks.
 """
 
 from __future__ import annotations
@@ -22,13 +16,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from powerham.errors import InputError, SizeError
-from powerham.graph import (Graph, is_clique, iter_bits, list_cliques,
-                            mask_of, verts_of)
+from powerham.graph import (Graph, common_neighborhood_mask, is_clique,
+                            iter_bits, mask_of)
 from powerham.pathcover import KPath
 from powerham.rng import SplitMix64
-from powerham.walks import DeltaSchedule, count_walks, find_walk_level
-
-ROPE_RETRIES = 32
 
 
 @dataclass(frozen=True)
@@ -58,13 +49,6 @@ class ConnectRequest:
             raise InputError("max_inner must be >= 0")
         if not 0 <= self.min_inner <= self.max_inner:
             raise InputError("min_inner must lie in [0, max_inner]")
-
-
-def _window(g: Graph, vs) -> int:
-    out = g.full_mask()
-    for v in vs:
-        out &= g.adj[v]
-    return out
 
 
 class _Budget:
@@ -123,7 +107,7 @@ def _search(g: Graph, req: ConnectRequest, m: int, budget: _Budget,
             return None
         if not budget.spend():
             return None
-        win = _window(g, seq[-k:]) & pool & ~used
+        win = common_neighborhood_mask(g, seq[-k:]) & pool & ~used
         # inner vertices close to the dock must already see its prefix
         j = depth + 1 + k - m
         if j >= 1:
@@ -172,117 +156,3 @@ def enumerate_connections(g: Graph, req: ConnectRequest, m: int) -> int:
         raise InputError("m must be >= 0")
     return _search(g, req, m, _Budget(None), list(range(g.n)),
                    count_mode=True)
-
-
-# ------------------------------------------------------------------- ropes
-
-@dataclass(frozen=True)
-class Rope:
-    """Parts Z_0..Z_{l+1}; ends and the first `a` inner parts are k-cliques,
-    the remaining inner parts singletons; consecutive parts fully joined."""
-
-    k: int
-    parts: tuple[tuple[int, ...], ...]
-    a: int
-
-    @property
-    def ell(self) -> int:
-        return len(self.parts) - 2
-
-
-def validate_rope(g: Graph, r: Rope) -> bool:
-    k, parts = r.k, r.parts
-    if len(parts) < 2 or not 0 <= r.a <= r.ell:
-        return False
-    for i, part in enumerate(parts):
-        inner_index = i - 1
-        if i in (0, len(parts) - 1) or 0 <= inner_index < r.a:
-            if len(part) != k or not is_clique(g, part):
-                return False
-        elif len(part) != 1:
-            return False
-    for a, b in zip(parts, parts[1:]):
-        for u in a:
-            for v in b:
-                if not g.adj[u] >> v & 1:
-                    return False
-    return True
-
-
-def build_rope(g: Graph, x_end, y_end, k: int, schedule: DeltaSchedule,
-               a_target: Optional[int], seed: int) -> Optional[Rope]:
-    """Randomized rope construction: walk first, then blow-ups left to right.
-
-    a_target = None blows up every inner part; an int is clamped to the
-    walk's length.  Dead ends (no clique fits a blow-up) restart the whole
-    construction with fresh randomness, up to ROPE_RETRIES attempts.
-    """
-    if len(x_end) != k or len(y_end) != k or mask_of(x_end) & mask_of(y_end):
-        raise InputError("ends must be disjoint k-tuples")
-    if not is_clique(g, x_end) or not is_clique(g, y_end):
-        raise InputError("ends must span cliques")
-    rng = SplitMix64(seed)
-    ends_mask = mask_of(x_end) | mask_of(y_end)
-    inner_g = g.without_vertices(verts_of(ends_mask))
-    x_nbhd = verts_of(_window(g, x_end) & ~ends_mask)
-    y_nbhd = verts_of(_window(g, y_end) & ~ends_mask)
-    if not x_nbhd or not y_nbhd:
-        return None
-
-    for _ in range(ROPE_RETRIES):
-        u = x_nbhd[rng.below(len(x_nbhd))]
-        v = y_nbhd[rng.below(len(y_nbhd))]
-        if u == v:
-            continue
-        found = find_walk_level(inner_g, u, v, schedule)
-        if found is None:
-            continue
-        level, _count = found
-        walk = _sample_walk(inner_g, u, v, level, rng)
-        parts = [tuple(x_end)] + [(w,) for w in walk] + [tuple(y_end)]
-        ell = len(parts) - 2
-        a = ell if a_target is None else min(a_target, ell)
-        if _blow_up(g, parts, k, a, rng):
-            return Rope(k, tuple(parts), a)
-    return None
-
-
-def _sample_walk(g: Graph, u: int, v: int, inner: int,
-                 rng: SplitMix64) -> list[int]:
-    """One (u,v)-walk with `inner` inner vertices, weighted uniformly."""
-    table = count_walks(g, u, inner)
-    walk = [v]
-    nxt = v
-    for i in range(inner, 0, -1):
-        options = [w for w in iter_bits(g.adj[nxt])
-                   if table.counts[i - 1][w] > 0]
-        weights = [table.counts[i - 1][w] for w in options]
-        nxt = options[rng.weighted_choice(weights)]
-        walk.append(nxt)
-    walk.append(u)
-    walk.reverse()
-    return walk
-
-
-def _blow_up(g: Graph, parts: list, k: int, a: int, rng: SplitMix64) -> bool:
-    """Replace the first `a` singleton inner parts with k-cliques, in place."""
-    for j in range(1, a + 1):
-        # the replaced singleton may reappear inside its own blow-up
-        used = mask_of(v for i, part in enumerate(parts) if i != j
-                       for v in part)
-        room = _window(g, parts[j - 1]) & _window(g, parts[j + 1]) & ~used
-        cliques = list(list_cliques(g, k, within=room))
-        if not cliques:
-            return False
-        parts[j] = cliques[rng.below(len(cliques))]
-    return True
-
-
-def rope_to_path(r: Rope) -> Optional[KPath]:
-    """Concatenate a fully blown rope; None when a vertex repeats."""
-    if r.a != r.ell:
-        raise InputError("rope must be fully blown up")
-    seq = tuple(v for part in r.parts for v in part)
-    if len(set(seq)) != len(seq):
-        return None
-    return KPath(r.k, seq)

@@ -88,10 +88,6 @@ class FactoredRational:
     def from_int(cls, n: int) -> "FactoredRational":
         return cls.from_fraction(Fraction(n))
 
-    @property
-    def is_zero(self) -> bool:
-        return self.sign == 0
-
     def log10(self) -> float:
         return math.fsum(e * math.log10(p) for p, e in self.powers)
 

@@ -44,6 +44,8 @@ def gnp(n: int, p: Fraction, seed: int) -> Graph:
     if n < 1:
         raise InputError("n must be >= 1")
     p = Fraction(p)
+    if not 0 <= p <= 1:
+        raise InputError("p must lie in [0, 1]")
     rng = SplitMix64(seed)
     rows = [0] * n
     for u in range(n - 1):
@@ -62,6 +64,8 @@ def random_bipartite(n: int, p: Fraction, seed: int) -> Graph:
     if n < 2:
         raise InputError("n must be >= 2")
     p = Fraction(p)
+    if not 0 <= p <= 1:
+        raise InputError("p must lie in [0, 1]")
     rng = SplitMix64(seed)
     half = n // 2
     rows = [0] * n

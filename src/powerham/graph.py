@@ -118,14 +118,6 @@ class Graph:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def without_vertices(self, drop: Iterable[int]) -> "Graph":
-        """Copy with the given vertices isolated (ids preserved)."""
-        gone = mask_of(drop)
-        keep = ~gone
-        rows = [0 if (1 << v) & gone else row & keep
-                for v, row in enumerate(self.adj)]
-        return Graph(self.n, tuple(rows))
-
     def induced(self, keep: Iterable[int]) -> "Graph":
         """Induced subgraph on `keep`, relabeled to 0..|keep|-1 ascending."""
         kept = sorted(set(keep))
@@ -138,36 +130,12 @@ class Graph:
         return Graph(len(kept), tuple(rows))
 
 
-def neighbors(g: Graph, v: int) -> set[int]:
-    return set(iter_bits(g.adj[v]))
-
-
-def common_neighborhood(g: Graph, verts: Iterable[int]) -> set[int]:
-    """Vertices adjacent to every member of the clique `verts`."""
-    vs = tuple(verts)
-    if not vs:
-        raise InputError("common neighborhood of an empty tuple")
-    if not is_clique(g, vs):
-        raise InputError("common_neighborhood expects a clique")
-    m = g.full_mask()
-    for v in vs:
-        m &= g.adj[v]
-    m &= ~mask_of(vs)
-    return set(iter_bits(m))
-
-
 def common_neighborhood_mask(g: Graph, verts: Iterable[int]) -> int:
-    vs = tuple(verts)
-    m = g.full_mask()
-    for v in vs:
+    """Mask of the vertices adjacent to all of `verts` (V when it is empty)."""
+    m = g.full_mask()   # rows carry no loops, so no member of verts survives
+    for v in verts:
         m &= g.adj[v]
-    return m & ~mask_of(vs)
-
-
-def edges_within(g: Graph, verts: Iterable[int]) -> int:
-    """Number of edges of g with both endpoints in `verts`."""
-    m = mask_of(verts)
-    return sum((g.adj[v] & m).bit_count() for v in iter_bits(m)) // 2
+    return m
 
 
 def edges_between(g: Graph, xs: Iterable[int], ys: Iterable[int]) -> int:
@@ -270,6 +238,13 @@ def to_text(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _ints(fields: list[str], lineno: int) -> tuple[int, ...]:
+    try:
+        return tuple(int(f) for f in fields)
+    except ValueError:
+        raise InputError(f"line {lineno}: not an integer in {fields}")
+
+
 def from_text(text: str) -> Graph:
     n = None
     declared = None
@@ -284,13 +259,13 @@ def from_text(text: str) -> Graph:
                 raise InputError(f"line {lineno}: second header")
             if len(parts) != 3:
                 raise InputError(f"line {lineno}: header must be 'p <n> <m>'")
-            n, declared = int(parts[1]), int(parts[2])
+            n, declared = _ints(parts[1:], lineno)
         elif parts[0] == "e":
             if n is None:
                 raise InputError(f"line {lineno}: edge before header")
             if len(parts) != 3:
                 raise InputError(f"line {lineno}: edge must be 'e <u> <v>'")
-            edges.append((int(parts[1]), int(parts[2])))
+            edges.append(_ints(parts[1:], lineno))
         else:
             raise InputError(f"line {lineno}: unknown record '{parts[0]}'")
     if n is None:

@@ -22,8 +22,8 @@ from fractions import Fraction
 from math import ceil
 
 from powerham.errors import InputError, NoCliquesError
-from powerham.graph import (Graph, is_clique, iter_bits, list_cliques,
-                            mask_of, verts_of)
+from powerham.graph import (Graph, common_neighborhood_mask, is_clique,
+                            iter_bits, list_cliques, mask_of, verts_of)
 from powerham.rng import SplitMix64
 
 RESTARTS = 8
@@ -76,13 +76,6 @@ def is_valid_kpath(g: Graph, kp: KPath) -> bool:
     return True
 
 
-def _cn_mask(g: Graph, tmask: int) -> int:
-    out = g.full_mask()
-    for v in iter_bits(tmask):
-        out &= g.adj[v]
-    return out
-
-
 def _subtuples(emask: int):
     m = emask
     while m:
@@ -108,9 +101,6 @@ class CliqueHypergraph:
     def is_empty(self) -> bool:
         return not self.degree
 
-    def tuple_degree(self, tmask: int) -> int:
-        return self.degree.get(tmask, 0)
-
     def has_edge(self, emask: int) -> bool:
         if emask & ~self.live or emask.bit_count() != self.k + 1:
             return False
@@ -119,7 +109,7 @@ class CliqueHypergraph:
     def iter_edges(self):
         """Each surviving edge once (from its subtuple missing the top vertex)."""
         for tm, _ in self.degree.items():
-            ext = _cn_mask(self.g, tm) & self.live
+            ext = common_neighborhood_mask(self.g, iter_bits(tm)) & self.live
             for w in iter_bits(ext):
                 b = 1 << w
                 if b > tm and (tm | b) not in self.removed:
@@ -136,7 +126,7 @@ def build_clique_hypergraph(g: Graph, k: int,
     live = g.full_mask() if within is None else within & g.full_mask()
     degree: dict[int, int] = {}
     for t in list_cliques(g, k, within=live):
-        dg = (_cn_mask(g, mask_of(t)) & live).bit_count()
+        dg = (common_neighborhood_mask(g, t) & live).bit_count()
         if dg:
             degree[mask_of(t)] = dg
     return CliqueHypergraph(g, k, live, degree, frozenset())
@@ -156,7 +146,7 @@ def prune(h: CliqueHypergraph, threshold: int) -> CliqueHypergraph:
     queued = set(work)
     while work:
         t = work.pop()
-        ext = _cn_mask(h.g, t) & h.live
+        ext = common_neighborhood_mask(h.g, iter_bits(t)) & h.live
         for w in iter_bits(ext):
             e = t | (1 << w)
             if e in removed:
@@ -179,14 +169,14 @@ def prune(h: CliqueHypergraph, threshold: int) -> CliqueHypergraph:
 
 
 def _alive_extensions(h: CliqueHypergraph, tmask: int, avoid: int) -> list[int]:
-    avail = _cn_mask(h.g, tmask) & h.live & ~avoid
+    avail = common_neighborhood_mask(h.g, iter_bits(tmask)) & h.live & ~avoid
     if not h.removed:
         return list(iter_bits(avail))
     return [w for w in iter_bits(avail) if (tmask | 1 << w) not in h.removed]
 
 
 def _remaining_degree(h: CliqueHypergraph, tmask: int, used: int) -> int:
-    avail = _cn_mask(h.g, tmask) & h.live & ~used
+    avail = common_neighborhood_mask(h.g, iter_bits(tmask)) & h.live & ~used
     if not h.removed:
         return avail.bit_count()
     return sum(1 for w in iter_bits(avail) if (tmask | 1 << w) not in h.removed)

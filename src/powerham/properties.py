@@ -30,11 +30,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
-from typing import Iterable
 
 from powerham.errors import InputError, SizeError
-from powerham.graph import Graph, iter_bits, list_cliques, mask_of, verts_of
+from powerham.graph import Graph, common_neighborhood_mask, iter_bits, verts_of
 from powerham.rng import SplitMix64
 
 EXACT_SUBSET_CAP = 26       # 2^n subset scans
@@ -94,18 +92,6 @@ class PairedDensenessReport:
                 "witness_x": list(self.witness_x),
                 "witness_y": list(self.witness_y),
                 "pair_count": self.pair_count}
-
-
-@dataclass(frozen=True)
-class ConnectableSet:
-    """The k-cliques whose common neighborhood reaches ceil(zeta * n)."""
-    k: int
-    zeta: Fraction
-    threshold: int
-    cliques: tuple[tuple[int, ...], ...]
-
-    def __contains__(self, clique: Iterable[int]) -> bool:
-        return tuple(sorted(clique)) in set(self.cliques)
 
 
 def min_degree(g: Graph) -> int:
@@ -375,31 +361,9 @@ def _fiedler_orders(g: Graph):
     return orders
 
 
-def connectable_cliques(g: Graph, k: int, zeta: Fraction) -> ConnectableSet:
-    """k-cliques whose common neighborhood has at least ceil(zeta*n) vertices."""
-    zeta = Fraction(zeta)
-    if k < 1:
-        raise InputError("k must be >= 1")
-    threshold = ceil(zeta * g.n)
-    adj = g.adj
-    full = g.full_mask()
-    kept = []
-    for clique in list_cliques(g, k):
-        m = full
-        for v in clique:
-            m &= adj[v]
-        if m.bit_count() >= threshold:
-            kept.append(clique)
-    return ConnectableSet(k, zeta, threshold, tuple(kept))
-
-
 def is_connectable(g: Graph, clique: tuple[int, ...], threshold: int) -> bool:
-    """Cheap single-clique form of the connectable test (mask AND chain)."""
-    m = g.full_mask()
-    for v in clique:
-        m &= g.adj[v]
-    m &= ~mask_of(clique)
-    return m.bit_count() >= threshold
+    """True iff `clique` has at least `threshold` common neighbors."""
+    return common_neighborhood_mask(g, clique).bit_count() >= threshold
 
 
 def robustly_matchable_exact(g: Graph, rho: Fraction, d: Fraction

@@ -15,27 +15,19 @@ match.
 Derived conveniences and their exact contracts:
 
 * ``below(m)``: ``next_u64() % m`` (one word; the modulo bias is irrelevant
-  for shuffling/choice and keeping the rule trivial aids porting).
-* ``big_below(m)``: concatenates ``ceil(bits(m)/64)`` output words
-  big-endian into one integer, reduced modulo ``m``.  Used for weighted
-  sampling with arbitrary-precision weights.
+  for shuffling and sampling, and keeping the rule trivial aids porting).
 * ``chance(p)``: draws one word ``u`` and accepts iff ``u * q < p_num *
   2**64`` where ``p = p_num / q`` in lowest terms; exact for rational ``p``.
 * ``shuffle``: Fisher-Yates from the top index down, partner drawn with
   ``below(i + 1)``.
-* ``child(tag)``: an independent stream seeded with the output of a
-  SplitMix64 seeded by ``seed XOR (tag + 1) * 0x9E3779B97F4A7C15``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence, TypeVar
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
-
-T = TypeVar("T")
 
 
 class SplitMix64:
@@ -59,16 +51,6 @@ class SplitMix64:
             raise ValueError("below() needs a positive bound")
         return self.next_u64() % m
 
-    def big_below(self, m: int) -> int:
-        """Integer in [0, m) built from enough 64-bit words for big m."""
-        if m <= 0:
-            raise ValueError("big_below() needs a positive bound")
-        words = max(1, (m.bit_length() + 63) // 64)
-        acc = 0
-        for _ in range(words):
-            acc = (acc << 64) | self.next_u64()
-        return acc % m
-
     def chance(self, p: Fraction) -> bool:
         """True with probability exactly p (rational in [0, 1])."""
         if p < 0 or p > 1:
@@ -80,29 +62,6 @@ class SplitMix64:
         for i in range(len(items) - 1, 0, -1):
             j = self.below(i + 1)
             items[i], items[j] = items[j], items[i]
-
-    def choice(self, seq: Sequence[T]) -> T:
-        if not seq:
-            raise ValueError("choice() from empty sequence")
-        return seq[self.below(len(seq))]
-
-    def weighted_choice(self, weights: Sequence[int]) -> int:
-        """Index i with probability weights[i] / sum; exact big-int draw."""
-        total = sum(weights)
-        if total <= 0:
-            raise ValueError("weighted_choice() needs positive total weight")
-        r = self.big_below(total)
-        for i, w in enumerate(weights):
-            if r < w:
-                return i
-            r -= w
-        raise AssertionError("unreachable")
-
-
-def child(seed: int, tag: int) -> SplitMix64:
-    """Independent stream #tag derived from a base seed."""
-    mix = SplitMix64((seed ^ ((tag + 1) * _GAMMA)) & _MASK64)
-    return SplitMix64(mix.next_u64())
 
 
 DEFAULT_SEED = 1729

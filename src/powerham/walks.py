@@ -1,4 +1,4 @@
-"""Exact walk counting and layered reachability thresholds.
+"""Exact walk counting and the layered reachability threshold schedule.
 
 ``count_walks`` tabulates, for a fixed source x, the number of (x,v)-walks
 with i inner vertices for every v and every i up to a cap.  A walk with i
@@ -13,10 +13,11 @@ a separation parameter mu it sets L = floor(8/mu) and
     delta_i = (mu^2 / 3)^i * (1/2)^(i(i+1)/2),      i = 0..L
     c       = (mu^2 / 48) * delta_{floor(4/mu)}^2
 
-as Fractions.  A vertex v joins layer i when its walk count reaches
-delta_i * n^i; in graphs that cannot be split cheaply these layers swallow
-most of the graph within a bounded number of levels, which is what makes a
-bounded-length connection between any two vertices plausible.  The
+as Fractions.  In the connecting argument a vertex v joins layer i when
+its walk count reaches delta_i * n^i; in graphs that cannot be split
+cheaply these layers swallow most of the graph within a bounded number of
+levels, which is what makes a bounded-length connection between any two
+vertices plausible.  The
 threshold comparisons cross-multiply (count * denominator >= numerator *
 n^i) so no rounding ever enters.
 """
@@ -42,10 +43,6 @@ class WalkCountTable:
     def count(self, v: int, inner: int) -> int:
         return self.counts[inner][v]
 
-    @property
-    def levels(self) -> int:
-        return len(self.counts) - 1
-
 
 @dataclass(frozen=True)
 class DeltaSchedule:
@@ -57,13 +54,6 @@ class DeltaSchedule:
     @property
     def half_level(self) -> int:
         return floor(4 / self.mu)
-
-
-@dataclass(frozen=True)
-class LayerFamily:
-    source: int
-    layers: tuple[tuple[int, ...], ...]      # X_i, ascending vertex tuples
-    cumulative: tuple[tuple[int, ...], ...]  # union of X_0..X_i
 
 
 def count_walks(g: Graph, x: int, l_max: int) -> WalkCountTable:
@@ -92,38 +82,3 @@ def delta_schedule(mu: Fraction) -> DeltaSchedule:
         deltas.append(base ** i * Fraction(1, 2 ** (i * (i + 1) // 2)))
     c = (mu * mu / 48) * deltas[floor(4 / mu)] ** 2
     return DeltaSchedule(mu, L, tuple(deltas), c)
-
-
-def layer_family(g: Graph, x: int, schedule: DeltaSchedule) -> LayerFamily:
-    """Vertices whose walk counts clear delta_i * n^i, per level and cumulative."""
-    table = count_walks(g, x, schedule.L)
-    n = g.n
-    layers = []
-    cumulative = []
-    seen: set[int] = set()
-    for i in range(schedule.L + 1):
-        num, den = schedule.delta[i].numerator, schedule.delta[i].denominator
-        bound_num = num * n ** i
-        layer = tuple(v for v in range(n)
-                      if table.counts[i][v] * den >= bound_num)
-        layers.append(layer)
-        seen |= set(layer)
-        cumulative.append(tuple(sorted(seen)))
-    return LayerFamily(x, tuple(layers), tuple(cumulative))
-
-
-def find_walk_level(g: Graph, x: int, y: int, schedule: DeltaSchedule
-                    ) -> tuple[int, int] | None:
-    """Smallest level ell with at least c * n^ell (x,y)-walks, with the count.
-
-    Levels run 0..L; None when no level qualifies.
-    """
-    if x == y:
-        raise InputError("endpoints must differ")
-    table = count_walks(g, x, schedule.L)
-    num, den = schedule.c.numerator, schedule.c.denominator
-    for ell in range(schedule.L + 1):
-        cnt = table.counts[ell][y]
-        if cnt * den >= num * g.n ** ell:
-            return ell, cnt
-    return None

@@ -7,16 +7,18 @@ import pytest
 from powerham.absorber import (
     AbsorberFamily,
     VAbsorber,
+    _draw_candidates,
+    _split,
     absorb,
     build_absorbing_path,
-    find_v_absorbers,
     is_valid_absorber,
     sample_family,
 )
 from powerham.errors import AssemblyError, CapacityError, InputError
 from powerham.generators import gnp
-from powerham.graph import Graph, mask_of
+from powerham.graph import Graph, list_cliques, mask_of
 from powerham.pathcover import is_valid_kpath
+from powerham.rng import SplitMix64
 
 from oracles import oracle_is_kpath
 
@@ -30,42 +32,59 @@ def two_disjoint_cliques(size: int) -> Graph:
     return Graph.from_edges(2 * size, edges)
 
 
-# --- enumeration ---
+def splits_around(g, v, k, threshold):
+    """_split of every 2k-clique inside N(v), in list_cliques order."""
+    return [_split(g, cl, threshold)
+            for cl in list_cliques(g, 2 * k, within=g.adj[v])]
+
+
+# --- candidate splits ---
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_complete_graph_every_clique_qualifies(k):
     g = Graph.complete(2 * k + 2)
-    found = find_v_absorbers(g, 0, k, Fraction(1, 100))
+    found = splits_around(g, 0, k, 1)
     # N(0) has 2k+1 vertices, one absorber per 2k-subset of it
     assert len(found) == 2 * k + 1
-    for ab in found:
-        assert ab.v == 0
+    for split in found:
+        ab = VAbsorber(0, split)
         assert len(ab.x_half) == k and len(ab.y_half) == k
         assert is_valid_absorber(g, ab, Fraction(1, 100))
 
 
 def test_low_degree_vertex_has_no_absorbers():
     g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (4, 5)])
-    assert find_v_absorbers(g, 4, 2, Fraction(0)) == []   # deg 2 < 4
-    assert find_v_absorbers(g, 0, 2, Fraction(0)) == []   # deg 2 < 4
+    for v in (4, 0):   # deg 2 < 4
+        assert _draw_candidates(g, v, 2, 0, Fraction(1), SplitMix64(0),
+                                want=8, attempts=64) == []
 
 
 def test_enumeration_is_deterministic_and_revalidates():
     g = gnp(30, Fraction(4, 5), seed=4)
     zeta = Fraction(15, 100)
-    found = find_v_absorbers(g, 0, 2, zeta)
-    assert found == find_v_absorbers(g, 0, 2, zeta)
-    assert found
-    for ab in found:
-        assert is_valid_absorber(g, ab, zeta)
-    capped = find_v_absorbers(g, 0, 2, zeta, limit=3)
-    assert capped == found[:3]
+    found = splits_around(g, 0, 2, 5)   # ceil(zeta * 30)
+    assert found == splits_around(g, 0, 2, 5)
+    assert any(found)
+    for split in filter(None, found):
+        assert is_valid_absorber(g, VAbsorber(0, split), zeta)
 
 
 def test_strict_threshold_filters_everything():
     g = Graph.complete(6)
     # a half is a single vertex with 5 neighbors; demand all 6
-    assert find_v_absorbers(g, 0, 1, Fraction(1)) == []
+    assert splits_around(g, 0, 1, 6) == [None] * 10
+
+
+def test_split_takes_the_first_qualifying_split_in_index_order():
+    # clique 0..3; 4, 5 join only 0 and 2, and 6, 7 join only 1 and 3, so
+    # {0, 1} sees just {2, 3} while {0, 2} and {1, 3} see four vertices
+    edges = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    edges += [(w, u) for w in (4, 5) for u in (0, 2)]
+    edges += [(w, u) for w in (6, 7) for u in (1, 3)]
+    g = Graph.from_edges(8, edges)
+    assert _split(g, (0, 1, 2, 3), 2) == (0, 1, 2, 3)
+    assert _split(g, (0, 1, 2, 3), 4) == (0, 2, 1, 3)
+    assert _split(g, (0, 1, 2, 3), 5) is None
 
 
 def test_absorber_shape_errors():

@@ -48,6 +48,13 @@ def test_generate_missing_params_is_usage_error(capsys):
     assert run(["generate", "--family", "gnp", "--n", "10"]) == 2
     assert run(["generate", "--family", "two_cliques", "--n", "12"]) == 2
     assert run(["generate", "--family", "multipartite"]) == 2
+    assert run(["generate", "--family", "multipartite",
+                "--parts", "3,x"]) == 2
+    assert run(["generate", "--family", "gnp", "--n", "5", "--p", "2"]) == 2
+    assert run(["generate", "--family", "random_bipartite", "--n", "5",
+                "--p=-1/2"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 6 and all(line.startswith("error: ") for line in err)
 
 
 def test_generate_seed_env_override(tmp_path, monkeypatch, capsys):
@@ -214,6 +221,32 @@ def test_verify_rejects_malformed_certificate(tmp_path):
     assert run(["verify", gpath, "--certificate", str(cert)]) == 2
     cert.write_text("not json")
     assert run(["verify", gpath, "--certificate", str(cert)]) == 2
+    cert.write_text(json.dumps({"k": "a", "ordering": [0, 1, 2, 3, 4]}))
+    assert run(["verify", gpath, "--certificate", str(cert)]) == 2
+    cert.write_text(json.dumps({"k": 2, "ordering": 5}))
+    assert run(["verify", gpath, "--certificate", str(cert)]) == 2
+    cert.write_text(json.dumps({"k": 2.5, "ordering": [0, 1, 2, 3, 4]}))
+    assert run(["verify", gpath, "--certificate", str(cert)]) == 2
+
+
+def test_malformed_graph_file_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    for text in ("p x 1\n", "p 3 1\ne 0 y\n"):
+        path.write_text(text)
+        assert run(["find", str(path), "-k", "1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error: ") for line in err)
+
+
+def test_malformed_hitting_sets_are_usage_errors(tmp_path, capsys):
+    path = graph_file(tmp_path, Graph.complete(8))
+    sets_file = tmp_path / "sets.json"
+    for text in ("not json", "[5]", "[[0, \"z\"]]", "[[0.5, 1, true]]"):
+        sets_file.write_text(text)
+        assert run(["find", path, "-k", "1",
+                    "--hitting-sets", str(sets_file)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 4 and all(line.startswith("error: ") for line in err)
 
 
 # ------------------------------------------------------------------ oracle
@@ -293,6 +326,7 @@ def test_bench_sweep_grammar_errors():
     assert run(["bench", "--sweep", "n=20;k=1", "--out", "-"]) == 2
     assert run(["bench", "--sweep", "garbage", "--out", "-"]) == 2
     assert run(["bench", "--sweep", "n=20;k=1;seeds=0", "--out", "-"]) == 2
+    assert run(["bench", "--sweep", "n=a;k=1;seeds=1", "--out", "-"]) == 2
 
 
 # ------------------------------------------------------------------- misc

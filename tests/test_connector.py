@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powerham.connector import (ConnectRequest, Rope, build_rope, connect,
-                                enumerate_connections, rope_to_path,
-                                validate_rope)
+from powerham.connector import (ConnectRequest, connect,
+                                enumerate_connections)
 from powerham.errors import InputError, SizeError
 from powerham.generators import gnp
 from powerham.graph import Graph, list_cliques, mask_of
 from powerham.pathcover import is_valid_kpath
-from powerham.walks import delta_schedule
 
 from oracles import oracle_is_kpath
 
@@ -170,51 +168,3 @@ def test_connect_complete_up_to_enumeration(seed, n):
     else:
         m = len(p) - 4
         assert counts[m] > 0 and all(c == 0 for c in counts[:m])
-
-
-# ------------------------------------------------------------------- ropes
-
-def test_build_rope_complete_graph():
-    g = Graph.complete(20)
-    sched = delta_schedule(Fraction(1, 2))
-    r = build_rope(g, (0, 1), (2, 3), 2, sched, None, seed=4)
-    assert r is not None and validate_rope(g, r)
-    assert r.a == r.ell
-    p = rope_to_path(r)
-    assert p is not None and is_valid_kpath(g, p)
-    assert p.vertices[:2] == (0, 1) and p.vertices[-2:] == (2, 3)
-
-
-def test_build_rope_triangle_free():
-    g = Graph.cycle(7)
-    sched = delta_schedule(Fraction(1, 2))
-    assert build_rope(g, (0, 1), (3, 4), 2, sched, None, seed=1) is None
-
-
-def test_build_rope_gnp_validates():
-    g = gnp(30, Fraction(4, 5), 5)
-    sched = delta_schedule(Fraction(1, 2))
-    x, y = two_disjoint_cliques(g, 2)
-    r = build_rope(g, x, y, 2, sched, None, seed=9)
-    assert r is not None and validate_rope(g, r)
-    assert r.parts[0] == x and r.parts[-1] == y
-
-
-def test_rope_to_path_rejects_partial():
-    r = Rope(2, ((0, 1), (4,), (2, 3)), 0)
-    with pytest.raises(InputError):
-        rope_to_path(r)
-
-
-def test_rope_to_path_repeated_vertex():
-    g = Graph.complete(5)
-    r = Rope(1, ((0,), (1,), (0,)), 1)
-    assert validate_rope(g, r)
-    assert rope_to_path(r) is None
-
-
-def test_rope_zero_length():
-    r = Rope(2, ((0, 1), (2, 3)), 0)
-    p = rope_to_path(r)
-    assert p.vertices == (0, 1, 2, 3)
-    assert validate_rope(Graph.complete(4), r)

@@ -6,9 +6,8 @@ import pytest
 
 from powerham import generators
 from powerham.errors import InputError
-from powerham.graph import Graph, to_text
-from powerham.properties import (connectable_cliques, denseness_exact,
-                                 inseparable_exact, min_degree)
+from powerham.graph import Graph, count_cliques, to_text
+from powerham.properties import denseness_exact, inseparable_exact, min_degree
 
 import oracles
 
@@ -69,6 +68,14 @@ def test_gnp_endpoints_and_fixture():
     assert to_text(g) == to_text(generators.gnp(20, Fraction(1, 2), 1))
 
 
+@pytest.mark.parametrize("family", [generators.gnp,
+                                    generators.random_bipartite])
+def test_edge_probability_outside_unit_interval(family):
+    for p in (Fraction(2), Fraction(-1, 2)):
+        with pytest.raises(InputError):
+            family(6, p, 0)
+
+
 def test_random_bipartite_structure():
     g = generators.random_bipartite(16, Fraction(4, 5), 4)
     half = 8
@@ -76,7 +83,7 @@ def test_random_bipartite_structure():
         for v in range(half):
             assert not g.has_edge(u, v) or u == v or True
     assert all(g.adj[u] >> 0 & ((1 << half) - 1) == 0 for u in range(half))
-    assert connectable_cliques(g, 2, Fraction(1, 100)).cliques == ()
+    assert count_cliques(g, 3) == 0
     full = generators.random_bipartite(9, Fraction(1), 0)
     assert full.edge_count == 4 * 5  # floor/ceil sides
 

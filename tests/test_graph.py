@@ -7,11 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powerham.errors import InputError
-from powerham.graph import (Graph, common_neighborhood, count_cliques,
-                            count_ordered_cliques, edges_between,
-                            edges_within, from_text, is_clique, iter_bits,
-                            list_cliques, mask_of, neighbors, to_text,
-                            verts_of)
+from powerham.graph import (Graph, common_neighborhood_mask, count_cliques,
+                            count_ordered_cliques, edges_between, from_text,
+                            is_clique, iter_bits, list_cliques, mask_of,
+                            to_text, verts_of)
 from powerham import generators
 
 import oracles
@@ -42,16 +41,22 @@ def test_mask_helpers_roundtrip():
 
 
 def test_neighbors_examples():
-    assert neighbors(Graph.complete(4), 0) == {1, 2, 3}
-    assert neighbors(Graph.edgeless(3), 1) == set()
-    assert neighbors(Graph.cycle(5), 2) == {1, 3}
+    # the common neighborhood of one vertex is its neighborhood
+    def nbrs(g, v):
+        return verts_of(common_neighborhood_mask(g, (v,)))
+    assert nbrs(Graph.complete(4), 0) == (1, 2, 3)
+    assert nbrs(Graph.edgeless(3), 1) == ()
+    assert nbrs(Graph.cycle(5), 2) == (1, 3)
 
 
 def test_common_neighborhood_examples():
-    assert common_neighborhood(Graph.complete(5), (0, 1)) == {2, 3, 4}
-    assert common_neighborhood(Graph.cycle(5), (0, 1)) == set()
-    with pytest.raises(InputError):
-        common_neighborhood(Graph.cycle(5), (0, 2))  # not a clique
+    c5 = Graph.cycle(5)
+    assert verts_of(common_neighborhood_mask(Graph.complete(5), (0, 1))) == \
+        (2, 3, 4)
+    assert common_neighborhood_mask(c5, (0, 1)) == 0
+    # a non-clique gets no special treatment
+    assert verts_of(common_neighborhood_mask(c5, (0, 2))) == (1,)
+    assert common_neighborhood_mask(c5, ()) == c5.full_mask()
 
 
 def test_common_neighborhood_in_overlap_block():
@@ -59,15 +64,9 @@ def test_common_neighborhood_in_overlap_block():
     g, a, b = generators.two_overlapping_cliques_parts(12, Fraction(1, 3))
     shared = sorted(a & b)
     t = (shared[0], shared[1])
-    got = common_neighborhood(g, t)
-    want = set(range(12)) - set(t)
+    got = common_neighborhood_mask(g, t)
+    want = mask_of(set(range(12)) - set(t))
     assert got == want  # intersection vertices see everything
-
-
-def test_edges_within_examples():
-    assert edges_within(Graph.complete(5), {0, 1, 2}) == 3
-    assert edges_within(Graph.complete(5), set()) == 0
-    assert edges_within(Graph.cycle(6), {0, 1, 2, 3}) == 3
 
 
 def test_edges_between_examples():
@@ -131,14 +130,15 @@ def test_ordered_counts_match_listing(n, seed, k):
     assert unordered == len(oracles.oracle_cliques(g, k))
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(2, 14), st.integers(0, 2 ** 32))
-def test_edges_within_upper_bound_and_oracle(n, seed):
-    g = gnp(n, 0.5, seed)
-    u = [v for v in range(n) if v % 2 == 0]
-    got = edges_within(g, u)
-    assert got <= len(u) * (len(u) - 1) // 2
-    assert got == oracles.oracle_edges_within(g, u)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 14), st.integers(0, 2 ** 32), st.data())
+def test_common_neighborhood_mask_matches_edge_set(n, seed, data):
+    g = gnp(n, 0.6, seed)
+    verts = data.draw(st.lists(st.integers(0, n - 1), max_size=5))
+    es = oracles.edge_set(g)
+    want = {u for u in range(n)
+            if all(frozenset((u, v)) in es for v in verts)}
+    assert set(iter_bits(common_neighborhood_mask(g, verts))) == want
 
 
 def test_clique_count_lemma_bound_small():
@@ -174,10 +174,7 @@ def test_text_format_parses_comments_and_rejects_garbage():
         from_text("p 3 5\ne 0 1\n")  # header miscounts
     with pytest.raises(InputError):
         from_text("p 2 1\nq 0 1\n")
-
-
-def test_without_vertices_isolates():
-    g = Graph.complete(5).without_vertices([0, 3])
-    assert neighbors(g, 0) == set()
-    assert neighbors(g, 1) == {2, 4}
-    assert g.n == 5
+    with pytest.raises(InputError):
+        from_text("p x 1\n")  # non-integer field
+    with pytest.raises(InputError):
+        from_text("p 2 1\ne 0 y\n")

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from powerham.errors import InputError, NoCliquesError
 from powerham.generators import gnp
-from powerham.graph import Graph, is_clique, mask_of, verts_of
+from powerham.graph import (Graph, common_neighborhood_mask, is_clique,
+                            mask_of, verts_of)
 from powerham.pathcover import (CliqueHypergraph, KPath,
                                 build_clique_hypergraph, cover_with_paths,
                                 greedy_tight_path, is_valid_kpath, prune,
-                                _cn_mask, _subtuples)
+                                _subtuples)
 
 from oracles import oracle_is_kpath
 
@@ -134,7 +135,7 @@ def test_greedy_validity_and_maximality():
         used = p.mask
         for end in (p.x_end, p.y_end):
             tm = mask_of(end)
-            ext = _cn_mask(g, tm) & h.live & ~used
+            ext = common_neighborhood_mask(g, end) & h.live & ~used
             for w in verts_of(ext):
                 assert (tm | 1 << w) in h.removed  # no unused extension alive
 
@@ -196,8 +197,8 @@ def test_cover_first_path_tuples_connectable():
     pc = cover_with_paths(g, 2, zeta, (), 39, 5)  # one round only
     p = pc.paths[0]
     for i in range(len(p) - 1):
-        tm = mask_of(p.vertices[i:i + 2])
-        assert (_cn_mask(g, tm)).bit_count() >= ceil(zeta * 40)
+        cn = common_neighborhood_mask(g, p.vertices[i:i + 2])
+        assert cn.bit_count() >= ceil(zeta * 40)
 
 
 def test_cover_determinism():

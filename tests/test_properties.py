@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 
 from powerham import generators
 from powerham.errors import InputError, SizeError
-from powerham.graph import Graph, common_neighborhood, edges_between
-from powerham.properties import (bipartite_denseness_exact,
-                                 connectable_cliques, denseness_exact,
+from powerham.graph import Graph, edges_between, list_cliques
+from powerham.properties import (bipartite_denseness_exact, denseness_exact,
                                  denseness_heuristic, inseparable_exact,
-                                 inseparable_heuristic, min_degree,
-                                 robustly_matchable_exact)
+                                 inseparable_heuristic, is_connectable,
+                                 min_degree, robustly_matchable_exact)
 
 import oracles
 
@@ -120,23 +119,29 @@ def test_inseparable_heuristic_vs_exact_gap():
 def test_connectable_complete_graph_all_pass():
     g = Graph.complete(8)
     for k in (1, 2, 3):
-        cs = connectable_cliques(g, k, HALF)
-        assert len(cs.cliques) == len(list(oracles.oracle_cliques(g, k)))
+        # a k-clique of K_8 sees the other 8 - k >= ceil(8 / 2) vertices
+        assert all(is_connectable(g, c, 4)
+                   for c in oracles.oracle_cliques(g, k))
 
 
 def test_connectable_triangle_free_empty():
-    assert connectable_cliques(Graph.cycle(5), 2, Fraction(1, 10)).cliques == ()
+    g = Graph.cycle(5)
+    assert not any(is_connectable(g, c, 1)
+                   for c in oracles.oracle_cliques(g, 2))
 
 
 def test_connectable_matches_bruteforce_filter():
     g = gnp(30, 0.7, 2)
     zeta = Fraction(1, 5)
-    cs = connectable_cliques(g, 2, zeta)
     threshold = -(-g.n * zeta.numerator // zeta.denominator)  # ceil
-    want = [c for c in oracles.oracle_cliques(g, 2)
-            if len(common_neighborhood(g, c)) >= threshold]
-    assert list(cs.cliques) == want
-    assert cs.threshold == threshold
+    es = oracles.edge_set(g)
+    sizes = {c: sum(all(frozenset((u, v)) in es for v in c)
+                    for u in range(g.n))
+             for c in oracles.oracle_cliques(g, 2)}
+    for t in (threshold, 10, 12, 14):   # the larger ones split the edges
+        want = [c for c, size in sizes.items() if size >= t]
+        got = [c for c in list_cliques(g, 2) if is_connectable(g, c, t)]
+        assert got == want
 
 
 # ------------------------------------------------------- matchability

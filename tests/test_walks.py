@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from powerham.errors import InputError
 from powerham.generators import gnp
 from powerham.graph import Graph
-from powerham.walks import (count_walks, delta_schedule, find_walk_level,
-                            layer_family)
+from powerham.walks import count_walks, delta_schedule
 
 from oracles import oracle_walk_matrix_powers
 
@@ -100,49 +99,3 @@ def test_delta_schedule_rejects_bad_mu():
         delta_schedule(Fraction(0))
     with pytest.raises(InputError):
         delta_schedule(Fraction(3, 2))
-
-
-def test_layer_family_complete_graph():
-    g = Graph.complete(8)
-    s = delta_schedule(Fraction(1))
-    fam = layer_family(g, 0, s)
-    # level 0: plain neighbors
-    assert fam.layers[0] == tuple(range(1, 8))
-    # one more level pulls in the source itself (walk 0-v-0)
-    assert fam.cumulative[1] == tuple(range(8))
-    assert fam.cumulative[-1] == tuple(range(8))
-
-
-def test_layer_family_isolated_source():
-    g = Graph.from_edges(4, [(1, 2), (2, 3)])
-    s = delta_schedule(Fraction(1, 2))
-    fam = layer_family(g, 0, s)
-    assert all(layer == () for layer in fam.layers)
-
-
-def test_find_walk_level_adjacent():
-    g = Graph.complete(8)
-    s = delta_schedule(Fraction(1))
-    assert find_walk_level(g, 0, 1, s) == (0, 1)
-
-
-def test_find_walk_level_unreachable():
-    g = Graph.from_edges(6, [(0, 1), (2, 3), (3, 4), (4, 2)])
-    s = delta_schedule(Fraction(1, 2))
-    assert find_walk_level(g, 0, 2, s) is None
-    with pytest.raises(InputError):
-        find_walk_level(g, 0, 0, s)
-
-
-def test_find_walk_level_needs_depth():
-    # two cliques glued at a vertex: 0 and 9 only meet through vertex 4
-    edges = [(u, v) for u in range(5) for v in range(u + 1, 5)]
-    edges += [(u, v) for u in range(4, 10) for v in range(u + 1, 10)]
-    g = Graph.from_edges(10, edges)
-    s = delta_schedule(Fraction(1, 4))
-    got = find_walk_level(g, 0, 9, s)
-    assert got is not None
-    level, cnt = got
-    assert level >= 1 and cnt >= 1
-    # the reported count really is the walk count at that level
-    assert count_walks(g, 0, level).count(9, level) == cnt
