@@ -9,7 +9,7 @@ segment vertices and any window containing v sees only segment vertices.
 The module covers the full lifecycle: draw candidate absorbers per
 vertex, sample a pairwise disjoint family with per-vertex rate limiting,
 join the family into one absorbing path, and finally absorb a set of
-leftover vertices by matching them to free segments.
+leftover vertices by matching them to segments.
 """
 
 from __future__ import annotations
@@ -111,56 +111,6 @@ class FamilyStats:
         return self.discarded / self.sampled if self.sampled else 0.0
 
 
-class AbsorberFamily:
-    """A pairwise disjoint collection of absorbers with usage tracking.
-
-    ``per_vertex_index`` maps every vertex to the member indices it could be
-    absorbed by; a member sampled for one vertex often serves many others.
-    ``usage`` flags flip to True when :func:`absorb` spends a segment.
-    """
-
-    __slots__ = ("k", "members", "per_vertex_index", "usage")
-
-    def __init__(self, k: int, members: tuple[VAbsorber, ...],
-                 per_vertex_index: dict[int, tuple[int, ...]]) -> None:
-        self.k = k
-        self.members = members
-        self.per_vertex_index = per_vertex_index
-        self.usage = [False] * len(members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def mask(self) -> int:
-        m = 0
-        for ab in self.members:
-            m |= ab.mask
-        return m
-
-    def validate(self, g: Graph, zeta: Fraction) -> None:
-        seen = 0
-        for ab in self.members:
-            if ab.k != self.k:
-                raise InputError("family members disagree on k")
-            if seen & ab.mask:
-                raise InputError("family members overlap")
-            seen |= ab.mask
-            if not is_valid_absorber(g, ab, zeta):
-                raise InputError(f"member for vertex {ab.v} is not an absorber")
-
-
-def _index_members(g: Graph, members: tuple[VAbsorber, ...]
-                   ) -> dict[int, tuple[int, ...]]:
-    # a segment absorbs w exactly when w is adjacent to all 2k of its vertices
-    index: dict[int, list[int]] = {v: [] for v in range(g.n)}
-    for i, ab in enumerate(members):
-        m = ab.mask
-        for w in range(g.n):
-            if g.adj[w] & m == m:
-                index[w].append(i)
-    return {v: tuple(ids) for v, ids in index.items()}
-
-
 def _draw_candidates(g: Graph, v: int, k: int, threshold: int, p: Fraction,
                      rng: SplitMix64, want: int, attempts: int) -> list[VAbsorber]:
     # random draws rather than a slice of the deterministic enumeration:
@@ -196,7 +146,7 @@ def _draw_candidates(g: Graph, v: int, k: int, threshold: int, p: Fraction,
 def sample_family(g: Graph, k: int, zeta: Fraction, p: Fraction, seed: int = DEFAULT_SEED,
                   per_vertex_cap: int = PER_VERTEX_CAP,
                   max_members: int | None = None
-                  ) -> tuple[AbsorberFamily, FamilyStats]:
+                  ) -> tuple[tuple[VAbsorber, ...], FamilyStats]:
     """Sample a disjoint absorber family, rate limited per vertex.
 
     Candidate 2k-tuples are drawn at random from each neighborhood, checked
@@ -284,8 +234,9 @@ def sample_family(g: Graph, k: int, zeta: Fraction, p: Fraction, seed: int = DEF
                 owned[v] = owned.get(v, 0) + 1
                 used |= mask_of(best[1])
 
-    fam = AbsorberFamily(k, tuple(members), _index_members(g, tuple(members)))
-    coverage = [len(fam.per_vertex_index[v]) for v in range(g.n)]
+    # a segment absorbs w exactly when w is adjacent to all 2k of its vertices
+    masks = [ab.mask for ab in members]
+    coverage = [sum(g.adj[w] & m == m for m in masks) for w in range(g.n)]
     stats = FamilyStats(
         sampled=sampled,
         discarded=discarded,
@@ -295,7 +246,7 @@ def sample_family(g: Graph, k: int, zeta: Fraction, p: Fraction, seed: int = DEF
         coverage_min=min(coverage) if coverage else 0,
         coverage_mean=sum(coverage) / len(coverage) if coverage else 0.0,
     )
-    return fam, stats
+    return tuple(members), stats
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,12 +254,12 @@ class AbsorbingPath:
     """A k-path threading every family member as one contiguous segment.
 
     ``starts[i]`` is the position of ``member_ids[i]``'s segment inside
-    ``path``; positions refer to the path as built, so absorb once and
-    rebuild rather than absorbing into an already grown path.
+    ``path``.  :func:`absorb` may use every segment and returns a new path;
+    positions refer to the path as built, so absorb once and rebuild rather
+    than absorbing into an already grown path.
     """
 
     path: KPath
-    family: AbsorberFamily
     member_ids: tuple[int, ...]
     starts: tuple[int, ...]
 
@@ -320,12 +271,22 @@ class AbsorbingPath:
         s = self.starts[i]
         return self.path.vertices[s : s + 2 * self.path.k]
 
-    def free_segments(self) -> list[int]:
-        return [i for i, mid in enumerate(self.member_ids)
-                if not self.family.usage[mid]]
+
+def _validate(g: Graph, k: int, family: tuple[VAbsorber, ...],
+              zeta: Fraction) -> None:
+    seen = 0
+    for ab in family:
+        if ab.k != k:
+            raise InputError("family was sampled for a different k")
+        if seen & ab.mask:
+            raise InputError("family members overlap")
+        seen |= ab.mask
+        if not is_valid_absorber(g, ab, zeta):
+            raise InputError(f"member for vertex {ab.v} is not an absorber")
 
 
-def build_absorbing_path(g: Graph, k: int, zeta: Fraction, family: AbsorberFamily,
+def build_absorbing_path(g: Graph, k: int, zeta: Fraction,
+                         family: tuple[VAbsorber, ...],
                          seed: int = DEFAULT_SEED, max_inner: int = 12,
                          node_budget: int | None = None) -> AbsorbingPath:
     """Join all family members into a single k-path, in owner order.
@@ -336,15 +297,13 @@ def build_absorbing_path(g: Graph, k: int, zeta: Fraction, family: AbsorberFamil
     is forbidden as connector interior, so segments stay contiguous.
     Raises AssemblyError naming the failing pair when a join cannot be made.
     """
-    if family.k != k:
-        raise InputError("family was sampled for a different k")
-    if not family.members:
+    if not family:
         raise InputError("cannot assemble an empty family")
-    family.validate(g, zeta)
+    _validate(g, k, family, zeta)
     rng = SplitMix64(seed)
-    order = sorted(range(len(family.members)),
-                   key=lambda i: (family.members[i].v, family.members[i].clique))
-    members = [family.members[i] for i in order]
+    order = sorted(range(len(family)),
+                   key=lambda i: (family[i].v, family[i].clique))
+    members = [family[i] for i in order]
 
     verts = list(members[0].clique)
     starts = [0]
@@ -353,15 +312,15 @@ def build_absorbing_path(g: Graph, k: int, zeta: Fraction, family: AbsorberFamil
     for ab in members[1:]:
         pending_mask |= ab.mask
     for prev, nxt in zip(members, members[1:]):
-        # nxt's y-half stays forbidden: contiguity, and it follows immediately
-        forbidden = (placed_mask | pending_mask) & ~mask_of(prev.y_half) \
-            & ~mask_of(nxt.x_half)
+        # nxt's y-half stays off limits: contiguity, and it follows immediately
+        allowed = g.full_mask() & ~(placed_mask | pending_mask)
         pending_mask &= ~nxt.mask
         attempts = 1 if node_budget is None else 3
         piece = None
         for _ in range(attempts):
             req = ConnectRequest(x_end=prev.y_half, y_end=nxt.x_half, k=k,
-                                 max_inner=max_inner, forbidden=forbidden,
+                                 max_inner=max_inner,
+                                 allowed_inner=allowed,
                                  seed=rng.next_u64(), node_budget=node_budget)
             piece = connect(g, req)
             if piece is not None:
@@ -379,11 +338,11 @@ def build_absorbing_path(g: Graph, k: int, zeta: Fraction, family: AbsorberFamil
     path = KPath(k, tuple(verts))
     if not is_valid_kpath(g, path):
         raise AssemblyError("assembled segments do not form a valid k-path")
-    return AbsorbingPath(path, family, tuple(order), tuple(starts))
+    return AbsorbingPath(path, tuple(order), tuple(starts))
 
 
 def absorb(g: Graph, pa: AbsorbingPath, x_set: Iterable[int]) -> KPath:
-    """Insert every vertex of x_set between the halves of free segments.
+    """Insert every vertex of x_set between the halves of the segments.
 
     Singletons first: vertices are matched one-per-segment by augmenting
     paths, so a one-each assignment is found whenever it exists at all.
@@ -404,9 +363,8 @@ def absorb(g: Graph, pa: AbsorbingPath, x_set: Iterable[int]) -> KPath:
             raise InputError(f"vertex {v} already lies on the path")
 
     k = pa.path.k
-    free = pa.free_segments()
-    seg_masks = {i: mask_of(pa.segment(i)) for i in free}
-    usable = {v: [i for i in free if g.adj[v] & seg_masks[i] == seg_masks[i]]
+    seg_masks = [mask_of(pa.segment(i)) for i in range(len(pa.starts))]
+    usable = {v: [i for i, sm in enumerate(seg_masks) if g.adj[v] & sm == sm]
               for v in xs}
 
     matched: dict[int, int] = {}   # segment -> its singleton vertex
@@ -435,13 +393,12 @@ def absorb(g: Graph, pa: AbsorbingPath, x_set: Iterable[int]) -> KPath:
                 grp.append(v)
                 break
         else:
-            raise CapacityError(f"no free absorber segment can take vertex {v}")
+            raise CapacityError(f"no absorber segment can take vertex {v}")
 
     verts = list(pa.path.vertices)
     for i, grp in sorted(groups.items(), key=lambda t: pa.starts[t[0]],
                          reverse=True):
         verts[pa.starts[i] + k:pa.starts[i] + k] = sorted(grp)
-        pa.family.usage[pa.member_ids[i]] = True
     out = KPath(pa.path.k, tuple(verts))
     if not is_valid_kpath(g, out):
         raise CapacityError("absorption produced an invalid path")

@@ -36,6 +36,8 @@ from .rng import DEFAULT_SEED
 from .walks import delta_schedule
 
 HEURISTIC_BUDGET = 20000
+# keys of a report's timings, in run order: one setup, then the stages
+TIMED = ("setup",) + STAGES
 
 
 def _default_seed() -> int:
@@ -363,7 +365,7 @@ def _cmd_bench(args) -> int:
             row = {"n": n, "p": str(p), "k": k, "seed": seed,
                    "success": int(res.ok),
                    "stage": res.report.failed_stage or ""}
-            for name in STAGES:
+            for name in TIMED:
                 row[f"t_{name}"] = f"{timings.get(name, 0.0):.6f}"
             row["t_total"] = f"{sum(timings.values()):.6f}"
             rows.append(row)
@@ -371,7 +373,7 @@ def _cmd_bench(args) -> int:
         print(f"cell n={n} p={p} k={k}: {wins}/{seeds}", file=sys.stderr)
 
     header = ["n", "p", "k", "seed", "success", "stage"]
-    header += [f"t_{name}" for name in STAGES] + ["t_total"]
+    header += [f"t_{name}" for name in TIMED] + ["t_total"]
     out = sys.stdout if args.out == "-" else open(args.out, "w",
                                                   encoding="utf-8",
                                                   newline="")

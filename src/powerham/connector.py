@@ -28,7 +28,6 @@ class ConnectRequest:
     y_end: tuple[int, ...]
     k: int
     max_inner: int
-    forbidden: int = 0                    # vertex mask
     allowed_inner: Optional[int] = None   # vertex mask; None = anywhere
     prefer_inner: int = 0                 # vertex mask, tried first
     seed: int = 0
@@ -43,8 +42,6 @@ class ConnectRequest:
             raise InputError("ends must be disjoint")
         if not is_clique(g, self.x_end) or not is_clique(g, self.y_end):
             raise InputError("ends must span cliques")
-        if self.forbidden & (xm | ym):
-            raise InputError("forbidden set may not touch the ends")
         if self.max_inner < 0:
             raise InputError("max_inner must be >= 0")
         if not 0 <= self.min_inner <= self.max_inner:
@@ -76,7 +73,7 @@ def _search(g: Graph, req: ConnectRequest, m: int, budget: _Budget,
     """
     k = req.k
     ends_mask = mask_of(req.x_end) | mask_of(req.y_end)
-    pool = g.full_mask() & ~ends_mask & ~req.forbidden
+    pool = g.full_mask() & ~ends_mask
     if req.allowed_inner is not None:
         pool &= req.allowed_inner
     # dock[j] = AND of the first j target rows, for early pruning

@@ -11,6 +11,7 @@ brute-force oracle provides independent ground truth on small graphs.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
@@ -208,11 +209,20 @@ class PipelineResult:
 
 
 class _StageFailure(Exception):
-    def __init__(self, stage: str, stages: dict, timings: dict):
+    def __init__(self, stage: str, stages: dict):
         super().__init__(stage)
         self.stage = stage
         self.stages = stages
-        self.timings = timings
+
+
+@contextmanager
+def _timed(timings: dict, name: str):
+    """Add the block's wall time to ``timings[name]``, also when it raises."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[name] = timings.get(name, 0.0) + time.perf_counter() - t0
 
 
 def _family_target(n: int, k: int) -> int:
@@ -221,9 +231,8 @@ def _family_target(n: int, k: int) -> int:
     return max(2, round(2 * n / (3 * (2 * k + 1))))
 
 
-def _practical_max_inner(g: Graph, k: int) -> int:
+def _practical_max_inner(mu: Fraction, k: int) -> int:
     """Connection length ceiling, scaled to how separable the graph looks."""
-    mu = inseparable_heuristic(g, seed=0, budget=2000).mu_star
     level = MAX_INNER_CAP if mu <= 0 else int(8 / mu) + 2
     return max(k + 2, min(level, MAX_INNER_CAP))
 
@@ -233,15 +242,8 @@ class _CycleLayout:
     """A successful cyclic hookup of the head and the cover paths."""
     sequence: list
     inners: list
-    route: int
-    widen: int
-    reservoir_used: int
-    leftover_routed: int
+    rest: int       # pool vertices no joint routed; the absorb stage's demand
     stage: dict
-
-    @property
-    def joints(self) -> int:
-        return len(self.inners)
 
 
 def _close_cycle(g: Graph, k: int, head: KPath, cover, reservoir: int,
@@ -318,19 +320,31 @@ def _close_cycle(g: Graph, k: int, head: KPath, cover, reservoir: int,
              "reservoir_used": reservoir_used,
              "leftover_routed": leftover_routed,
              "seed": seed}
-    return _CycleLayout(sequence, inners, route, widen,
-                        reservoir_used, leftover_routed, stage)
+    return _CycleLayout(sequence, inners, route | widen, stage)
 
 
 def _stitch_hitting_cliques(g: Graph, k: int, head: KPath,
-                            chosen: list[tuple[int, ...]], seed: int,
+                            hitting: list[list[tuple[int, ...]]], seed: int,
                             max_inner: int) -> KPath:
-    """Append each chosen clique to the head's y side, disjointly."""
+    """Pick one clique per hitting set off the head, append each to its y side.
+
+    Raises AssemblyError when every candidate of a set meets the path or an
+    earlier pick, or when a clique cannot be joined on.
+    """
+    hrng = SplitMix64(seed)
+    chosen: list[tuple[int, ...]] = []
+    taken = head.mask
+    for i, cands in enumerate(hitting):
+        pool = list(cands)
+        hrng.shuffle(pool)
+        pick = next((cl for cl in pool if not mask_of(cl) & taken), None)
+        if pick is None:
+            raise AssemblyError(f"every clique of hitting set {i} is taken")
+        chosen.append(pick)
+        taken |= mask_of(pick)
     rng = SplitMix64(seed)
     cur = head
-    pending = 0
-    for cl in chosen:
-        pending |= mask_of(cl)
+    pending = taken & ~head.mask
     for cl in chosen:
         pending &= ~mask_of(cl)
         req = ConnectRequest(x_end=cur.y_end, y_end=tuple(cl), k=k,
@@ -347,13 +361,39 @@ def _stitch_hitting_cliques(g: Graph, k: int, head: KPath,
     return cur
 
 
+def _certify(g: Graph, k: int, head: KPath, pa, layout: _CycleLayout,
+             new_head: KPath) -> Certificate:
+    """Read the cycle off the layout, with the absorbed head in its place."""
+    head_suffix = head.vertices[len(pa.path.vertices):]
+    if layout.sequence[0] is head:
+        ordering = list(new_head.vertices) + list(head_suffix)
+    else:
+        # the chain docked the head back to front; insertions into the
+        # segment midpoints stay valid under reversal
+        ordering = list(reversed(head_suffix))
+        ordering += list(reversed(new_head.vertices))
+    for piece, inner in zip(layout.sequence[1:], layout.inners):
+        ordering.extend(inner)
+        ordering.extend(piece.vertices)
+    ordering.extend(layout.inners[-1])
+
+    cert = canonicalize(Certificate(k, tuple(ordering)))
+    ok, viol = verify(g, cert)
+    if not ok:
+        raise PowerhamError(f"internal: invalid certificate, pair {viol}")
+    extract_clique_factor(g, cert)
+    return cert
+
+
 def _attempt(g: Graph, cfg: PipelineConfig, seed: int, zeta: Fraction,
-             reservoir_fraction: Fraction, max_inner: int,
+             reservoir_fraction: Fraction, max_inner: int, timings: dict,
              hitting: Optional[list[list[tuple[int, ...]]]] = None):
-    """One full pass over the five stages; raises _StageFailure to retry."""
+    """One full pass over the five stages; raises _StageFailure to retry.
+
+    Each stage's wall time is added to ``timings`` under its name.
+    """
     n, k = g.n, cfg.k
     stages: dict = {}
-    timings: dict = {}
     srng = SplitMix64(seed)
     s_family = srng.next_u64()
     s_build = srng.next_u64()
@@ -363,55 +403,36 @@ def _attempt(g: Graph, cfg: PipelineConfig, seed: int, zeta: Fraction,
     s_connect = srng.next_u64()
 
     # -- stage 1: absorbing path
-    t0 = time.perf_counter()
-    fam, _stats = sample_family(g, k, zeta, Fraction(1), seed=s_family,
-                                max_members=_family_target(n, k))
-    stages["absorbing_path"] = {"members": len(fam), "seed": s_family}
-    if len(fam) < 2:
-        timings["absorbing_path"] = time.perf_counter() - t0
-        raise _StageFailure("absorbing_path", stages, timings)
-    try:
-        pa = build_absorbing_path(g, k, zeta, fam, seed=s_build,
-                                  node_budget=ASSEMBLY_NODE_BUDGET)
-    except AssemblyError:
-        timings["absorbing_path"] = time.perf_counter() - t0
-        raise _StageFailure("absorbing_path", stages, timings)
-    head = pa.path
-    if hitting is not None:
-        hrng = SplitMix64(s_stitch)
-        chosen: list[tuple[int, ...]] = []
-        taken = head.mask
-        for cands in hitting:
-            pool = list(cands)
-            hrng.shuffle(pool)
-            pick = next((cl for cl in pool if not mask_of(cl) & taken), None)
-            if pick is None:
-                timings["absorbing_path"] = time.perf_counter() - t0
-                raise _StageFailure("absorbing_path", stages, timings)
-            chosen.append(pick)
-            taken |= mask_of(pick)
+    with _timed(timings, "absorbing_path"):
+        family, _stats = sample_family(g, k, zeta, Fraction(1), seed=s_family,
+                                       max_members=_family_target(n, k))
+        stages["absorbing_path"] = {"members": len(family), "seed": s_family}
+        if len(family) < 2:
+            raise _StageFailure("absorbing_path", stages)
         try:
-            head = _stitch_hitting_cliques(g, k, head, chosen, s_stitch,
-                                           max_inner)
+            pa = build_absorbing_path(g, k, zeta, family, seed=s_build,
+                                      node_budget=ASSEMBLY_NODE_BUDGET)
+            head = pa.path
+            if hitting is not None:
+                head = _stitch_hitting_cliques(g, k, head, hitting, s_stitch,
+                                               max_inner)
+                stages["absorbing_path"]["stitched"] = len(hitting)
         except AssemblyError:
-            timings["absorbing_path"] = time.perf_counter() - t0
-            raise _StageFailure("absorbing_path", stages, timings)
-        stages["absorbing_path"]["stitched"] = len(chosen)
-    capacity = k * len(fam)   # each segment hosts up to a k-clique
-    stages["absorbing_path"].update(path_length=len(head), capacity=capacity)
-    timings["absorbing_path"] = time.perf_counter() - t0
+            raise _StageFailure("absorbing_path", stages)
+        capacity = k * len(family)   # each segment hosts up to a k-clique
+        stages["absorbing_path"].update(path_length=len(head),
+                                        capacity=capacity)
+        # vertices no segment can host must leave the pool by routing,
+        # so the connection search is told to spend them first
+        seg_masks = [mask_of(pa.segment(i)) for i in range(len(family))]
+        incompat = 0
+        for v in verts_of(g.full_mask() & ~head.mask):
+            if not any(g.adj[v] & sm == sm for sm in seg_masks):
+                incompat |= 1 << v
     if cfg.stop_fraction is not None:
         stop_size = int(cfg.stop_fraction * n)
     else:
         stop_size = max(1, capacity // 2)
-
-    # vertices no free segment can host must leave the pool by routing,
-    # so the connection search is told to spend them first
-    seg_masks = [mask_of(pa.segment(i)) for i in range(len(fam))]
-    incompat = 0
-    for v in verts_of(g.full_mask() & ~head.mask):
-        if not any(g.adj[v] & sm == sm for sm in seg_masks):
-            incompat |= 1 << v
 
     # -- stages 2-5, with one reservoir resample allowed: when the cycle
     # cannot be closed or a straggler cannot be absorbed, a fresh reservoir
@@ -421,162 +442,133 @@ def _attempt(g: Graph, cfg: PipelineConfig, seed: int, zeta: Fraction,
     cseed = SplitMix64(s_cover)
     xseed = SplitMix64(s_connect)
     head_rev = KPath(k, tuple(reversed(head.vertices)))
-    finished = None
     failed = "connect"
     for rnd in range(2):
-        t0 = time.perf_counter()
-        round_seed = rseed.next_u64()
-        rrng = SplitMix64(round_seed)
-        reservoir = 0
-        for v in verts_of(g.full_mask() & ~head.mask):
-            if rrng.chance(reservoir_fraction):
-                reservoir |= 1 << v
-        stages["reservoir"] = {"size": reservoir.bit_count(),
-                               "rounds": rnd + 1, "seed": round_seed}
-        timings["reservoir"] = time.perf_counter() - t0
+        with _timed(timings, "reservoir"):
+            round_seed = rseed.next_u64()
+            rrng = SplitMix64(round_seed)
+            reservoir = 0
+            for v in verts_of(g.full_mask() & ~head.mask):
+                if rrng.chance(reservoir_fraction):
+                    reservoir |= 1 << v
+            stages["reservoir"] = {"size": reservoir.bit_count(),
+                                   "rounds": rnd + 1, "seed": round_seed}
 
-        t0 = time.perf_counter()
-        # a residue small enough for one joint closes more reliably as a
-        # single rich connection than as covered paths docked through
-        # starved pools, so in that regime the cover stands down; on the
-        # second round it runs anyway if unhostable vertices are present,
-        # since a path can carry them where a route could not
-        live = g.full_mask() & ~(head.mask | reservoir)
-        round_stop = stop_size
-        if live.bit_count() <= min(max_inner, capacity):
-            if rnd == 0 or not live & incompat:
-                round_stop = live.bit_count()
-        # prune threshold 0: harvest even isolated cliques, the cycle
-        # closure copes with weak path ends by picking order and direction
-        cover_seed = cseed.next_u64()
-        cover = cover_with_paths(g, k, Fraction(0),
-                                 excluded=head.mask | reservoir,
-                                 stop_size=round_stop, seed=cover_seed)
-        stages["cover"] = {"paths": [len(p) for p in cover.paths],
-                           "leftover": len(cover.leftover),
-                           "stop_size": round_stop, "seed": cover_seed}
-        timings["cover"] = time.perf_counter() - t0
-        if not cover.reached_stop:
-            raise _StageFailure("cover", stages, timings)
+        with _timed(timings, "cover"):
+            # a residue small enough for one joint closes more reliably as a
+            # single rich connection than as covered paths docked through
+            # starved pools, so in that regime the cover stands down; on the
+            # second round it runs anyway if unhostable vertices are
+            # present, since a path can carry them where a route could not
+            live = g.full_mask() & ~(head.mask | reservoir)
+            round_stop = stop_size
+            if live.bit_count() <= min(max_inner, capacity):
+                if rnd == 0 or not live & incompat:
+                    round_stop = live.bit_count()
+            # prune threshold 0: harvest even isolated cliques, the cycle
+            # closure copes with weak path ends by picking order and
+            # direction
+            cover_seed = cseed.next_u64()
+            cover = cover_with_paths(g, k, Fraction(0),
+                                     excluded=head.mask | reservoir,
+                                     stop_size=round_stop, seed=cover_seed)
+            stages["cover"] = {"paths": [len(p) for p in cover.paths],
+                               "leftover": len(cover.leftover),
+                               "stop_size": round_stop, "seed": cover_seed}
+            if not cover.reached_stop:
+                raise _StageFailure("cover", stages)
 
-        t0 = time.perf_counter()
-        outcome = None
-        last_fail = None
-        for head_path in (head, head_rev):
-            outcome = _close_cycle(g, k, head_path, cover, reservoir,
-                                   max_inner, xseed.next_u64(), incompat)
-            if isinstance(outcome, dict):
-                last_fail = outcome
-                outcome = None
-            else:
-                break
-        if outcome is None:
-            stages["connect"] = last_fail
-            timings["connect"] = time.perf_counter() - t0
-            failed = "connect"
-            continue
-        stages["connect"] = outcome.stage
-        timings["connect"] = time.perf_counter() - t0
-        if outcome.reservoir_used > outcome.joints * max_inner:
-            raise PowerhamError(
-                "internal: reservoir accounting bound violated")
+        with _timed(timings, "connect"):
+            for head_path in (head, head_rev):
+                layout = _close_cycle(g, k, head_path, cover, reservoir,
+                                      max_inner, xseed.next_u64(), incompat)
+                if isinstance(layout, _CycleLayout):
+                    break
+            if isinstance(layout, dict):
+                stages["connect"] = layout
+                failed = "connect"
+                continue
+            stages["connect"] = layout.stage
+            if layout.stage["reservoir_used"] > len(layout.inners) * max_inner:
+                raise PowerhamError(
+                    "internal: reservoir accounting bound violated")
 
         # -- stage 5: absorb the rest into the absorbing path
-        t0 = time.perf_counter()
-        demand = verts_of(outcome.route | outcome.widen)
-        stages["absorb"] = {"absorbed": len(demand), "capacity": capacity}
-        try:
-            new_head = absorb(g, pa, demand)
-        except CapacityError:
-            timings["absorb"] = time.perf_counter() - t0
-            failed = "absorb"
-            continue
-        finished = (outcome, new_head)
-        break
-    if finished is None:
-        raise _StageFailure(failed, stages, timings)
-    outcome, new_head = finished
-
-    head_suffix = head.vertices[len(pa.path.vertices):]
-    if outcome.sequence[0] is head:
-        head_block = list(new_head.vertices) + list(head_suffix)
-    else:
-        # the chain docked the head back to front; insertions into the
-        # segment midpoints stay valid under reversal
-        head_block = list(reversed(head_suffix))
-        head_block += list(reversed(new_head.vertices))
-    ordering = head_block
-    joints = outcome.joints
-    for j in range(1, joints):
-        ordering.extend(outcome.inners[j - 1])
-        ordering.extend(outcome.sequence[j].vertices)
-    ordering.extend(outcome.inners[joints - 1])
-    timings["absorb"] = time.perf_counter() - t0
-
-    cert = canonicalize(Certificate(k, tuple(ordering)))
-    ok, viol = verify(g, cert)
-    if not ok:
-        raise PowerhamError(f"internal: invalid certificate, pair {viol}")
-    extract_clique_factor(g, cert)
-    return cert, stages, timings
+        with _timed(timings, "absorb"):
+            demand = verts_of(layout.rest)
+            stages["absorb"] = {"absorbed": len(demand), "capacity": capacity}
+            try:
+                new_head = absorb(g, pa, demand)
+            except CapacityError:
+                failed = "absorb"
+                continue
+            return _certify(g, k, head, pa, layout, new_head), stages
+    raise _StageFailure(failed, stages)
 
 
 def _run_pipeline(g: Graph, cfg: PipelineConfig,
                   hitting: Optional[list[list[tuple[int, ...]]]] = None
                   ) -> PipelineResult:
+    """Set up once, then run attempts until one succeeds or retries run out.
+
+    ``timings`` covers the whole run: ``setup`` (the mu estimate and, in
+    paper-constants mode, the exact constants) plus every stage of every
+    attempt.
+    """
     n = g.n
+    if n < 2:
+        raise InputError("the pipeline needs a graph on at least 2 vertices")
+    if cfg.mode == "paper_constants" and g.edge_count == 0:
+        raise InputError("paper-constants mode needs a nonempty graph")
     zeta, reservoir_fraction = cfg.zeta, cfg.reservoir_fraction
     notes: list[str] = []
-    if cfg.mode == "paper_constants":
-        if n < 2 or g.edge_count == 0:
-            raise InputError("paper-constants mode needs a nonempty graph")
-        d = Fraction(2 * g.edge_count, n * n)
+    timings: dict = {}
+    # a refusal's report shares ``timings``, so setup still lands in it
+    with _timed(timings, "setup"):
         mu = inseparable_heuristic(g, seed=0, budget=2000).mu_star
-        if mu <= 0:
-            report = StageReport(
-                n, cfg.k, cfg.mode, 0, "feasibility",
-                {"feasibility": {"ok": False,
-                                 "reasons": ["graph is separable (mu = 0)"]}},
-                {}, ("refused: thresholds undefined at mu = 0",))
-            return PipelineResult(None, report)
-        mc = main_constants(d, mu, cfg.k)
-        feas = feasibility(mc, n)
-        if not feas.ok:
-            report = StageReport(
-                n, cfg.k, cfg.mode, 0, "feasibility",
-                {"feasibility": feas.to_json_dict(),
-                 "constants": mc.to_json_dict()},
-                {}, ("refused: proof-grade thresholds are not satisfiable "
-                     "at this n",))
-            return PipelineResult(None, report)
-        zeta = mc.zeta
-        reservoir_fraction = mc.reservoir_rate
-        notes.append("proof-grade thresholds satisfied; using exact constants")
+        max_inner = _practical_max_inner(mu, cfg.k)
+        if cfg.mode == "paper_constants":
+            if mu <= 0:
+                report = StageReport(
+                    n, cfg.k, cfg.mode, 0, "feasibility",
+                    {"feasibility": {"ok": False, "reasons":
+                                     ["graph is separable (mu = 0)"]}},
+                    timings, ("refused: thresholds undefined at mu = 0",))
+                return PipelineResult(None, report)
+            d = Fraction(2 * g.edge_count, n * n)
+            mc = main_constants(d, mu, cfg.k)
+            feas = feasibility(mc, n)
+            if not feas.ok:
+                report = StageReport(
+                    n, cfg.k, cfg.mode, 0, "feasibility",
+                    {"feasibility": feas.to_json_dict(),
+                     "constants": mc.to_json_dict()},
+                    timings, ("refused: proof-grade thresholds are not "
+                              "satisfiable at this n",))
+                return PipelineResult(None, report)
+            zeta = mc.zeta
+            reservoir_fraction = mc.reservoir_rate
+            notes.append(
+                "proof-grade thresholds satisfied; using exact constants")
 
-    max_inner = _practical_max_inner(g, cfg.k)
     arng = SplitMix64(cfg.seed)
     attempt_seeds = [arng.next_u64() for _ in range(cfg.retries + 1)]
-    last: Optional[_StageFailure] = None
+    cert = None
     for attempt, aseed in enumerate(attempt_seeds, start=1):
         try:
-            cert, stages, timings = _attempt(g, cfg, aseed, zeta,
-                                             reservoir_fraction, max_inner,
-                                             hitting)
+            cert, stages = _attempt(g, cfg, aseed, zeta, reservoir_fraction,
+                                    max_inner, timings, hitting)
+            failed = None
+            break
         except _StageFailure as f:
-            last = f
-            continue
-        report = StageReport(n, cfg.k, cfg.mode, attempt, None,
-                             stages, timings, tuple(notes))
-        return PipelineResult(cert, report)
-    report = StageReport(n, cfg.k, cfg.mode, len(attempt_seeds), last.stage,
-                         last.stages, last.timings, tuple(notes))
-    return PipelineResult(None, report)
+            failed, stages = f.stage, f.stages
+    report = StageReport(n, cfg.k, cfg.mode, attempt, failed, stages,
+                         timings, tuple(notes))
+    return PipelineResult(cert, report)
 
 
 def find_hamiltonian_power(g: Graph, cfg: PipelineConfig) -> PipelineResult:
     """Run the staged search; the result always carries a stage report."""
-    if g.n < 1:
-        raise InputError("graph must have at least one vertex")
     return _run_pipeline(g, cfg)
 
 

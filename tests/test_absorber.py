@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from powerham.absorber import (
-    AbsorberFamily,
     VAbsorber,
     _draw_candidates,
     _split,
@@ -103,11 +102,16 @@ def test_sample_family_members_are_disjoint_and_valid():
     zeta = Fraction(1, 10)
     fam, stats = sample_family(g, 2, zeta, Fraction(1), seed=11)
     assert len(fam) == stats.members > 0
-    fam.validate(g, zeta)
-    for v, ids in fam.per_vertex_index.items():
-        for i in ids:
-            m = fam.members[i].mask
-            assert g.adj[v] & m == m
+    seen = set()
+    for ab in fam:
+        assert ab.k == 2 and not seen & set(ab.clique)
+        seen |= set(ab.clique)
+        assert is_valid_absorber(g, ab, zeta)
+    # coverage: how many members each vertex is adjacent to in full
+    coverage = [sum(all(g.has_edge(v, u) for u in ab.clique) for ab in fam)
+                for v in range(g.n)]
+    assert stats.coverage_min == min(coverage)
+    assert stats.coverage_mean == sum(coverage) / g.n
     assert stats.sampled >= stats.members
     assert 0.0 <= stats.discard_rate <= 1.0
     assert stats.coverage_min <= stats.coverage_mean
@@ -116,7 +120,7 @@ def test_sample_family_members_are_disjoint_and_valid():
 def test_sample_family_interleaves_owners():
     g = Graph.complete(30)
     fam, _ = sample_family(g, 2, Fraction(1, 100), Fraction(1), seed=3)
-    owners = [ab.v for ab in fam.members]
+    owners = [ab.v for ab in fam]
     # round robin: the first few admissions come from distinct vertices
     head = owners[: min(5, len(owners))]
     assert len(set(head)) == len(head)
@@ -141,14 +145,14 @@ def test_sample_family_is_deterministic():
     g = gnp(36, Fraction(3, 4), seed=5)
     a, _ = sample_family(g, 2, Fraction(1, 10), Fraction(1, 2), seed=21)
     b, _ = sample_family(g, 2, Fraction(1, 10), Fraction(1, 2), seed=21)
-    assert a.members == b.members
+    assert a == b
 
 
 # --- assembly ---
 
 def test_single_member_path_is_the_clique_itself():
     g = Graph.complete(6)
-    fam = AbsorberFamily(1, (VAbsorber(5, (0, 1)),), {5: (0,)})
+    fam = (VAbsorber(5, (0, 1)),)
     pa = build_absorbing_path(g, 1, Fraction(0), fam, seed=1)
     assert pa.path.vertices == (0, 1)
     assert pa.starts == (0,)
@@ -164,21 +168,17 @@ def test_assembled_path_keeps_segments_contiguous():
     assert is_valid_kpath(g, pa.path)
     assert oracle_is_kpath(g, pa.path.vertices, 2)
     for i, mid in enumerate(pa.member_ids):
-        assert pa.segment(i) == fam.members[mid].clique
-    owners = [fam.members[mid].v for mid in pa.member_ids]
+        assert pa.segment(i) == fam[mid].clique
+    owners = [fam[mid].v for mid in pa.member_ids]
     assert owners == sorted(owners)
     # outer ends are the first segment's x-half and last segment's y-half
-    assert pa.path.x_end == fam.members[pa.member_ids[0]].x_half
-    assert pa.path.y_end == fam.members[pa.member_ids[-1]].y_half
+    assert pa.path.x_end == fam[pa.member_ids[0]].x_half
+    assert pa.path.y_end == fam[pa.member_ids[-1]].y_half
 
 
 def test_assembly_across_components_fails_loudly():
     g = two_disjoint_cliques(6)
-    fam = AbsorberFamily(
-        2,
-        (VAbsorber(4, (0, 1, 2, 3)), VAbsorber(10, (6, 7, 8, 9))),
-        {},
-    )
+    fam = (VAbsorber(4, (0, 1, 2, 3)), VAbsorber(10, (6, 7, 8, 9)))
     with pytest.raises(AssemblyError) as err:
         build_absorbing_path(g, 2, Fraction(0), fam, seed=0)
     assert "4" in str(err.value) and "10" in str(err.value)
@@ -187,8 +187,8 @@ def test_assembly_across_components_fails_loudly():
 def test_assembly_rejects_empty_or_mismatched_family():
     g = Graph.complete(8)
     with pytest.raises(InputError):
-        build_absorbing_path(g, 2, Fraction(0), AbsorberFamily(2, (), {}))
-    fam = AbsorberFamily(1, (VAbsorber(5, (0, 1)),), {})
+        build_absorbing_path(g, 2, Fraction(0), ())
+    fam = (VAbsorber(5, (0, 1)),)
     with pytest.raises(InputError):
         build_absorbing_path(g, 2, Fraction(0), fam)
 
@@ -207,19 +207,17 @@ def test_assembly_on_random_graph_validates():
 
 def test_absorb_empty_set_is_identity():
     g = Graph.complete(8)
-    fam = AbsorberFamily(2, (VAbsorber(0, (1, 2, 3, 4)),), {})
+    fam = (VAbsorber(0, (1, 2, 3, 4)),)
     pa = build_absorbing_path(g, 2, Fraction(0), fam, seed=1)
     assert absorb(g, pa, ()) is pa.path
-    assert fam.usage == [False]
 
 
 def test_absorb_single_vertex_at_midpoint():
     g = Graph.complete(8)
-    fam = AbsorberFamily(2, (VAbsorber(0, (1, 2, 3, 4)),), {})
+    fam = (VAbsorber(0, (1, 2, 3, 4)),)
     pa = build_absorbing_path(g, 2, Fraction(0), fam, seed=1)
     out = absorb(g, pa, {0})
     assert out.vertices == (1, 2, 0, 3, 4)
-    assert fam.usage == [True]
 
 
 def test_absorb_matches_beyond_first_fit():
@@ -232,7 +230,7 @@ def test_absorb_matches_beyond_first_fit():
         (2, 4), (3, 4), (2, 5), (3, 5),   # join so the two segments connect
         (2, 6), (3, 6), (4, 6), (5, 6),
     ])
-    fam = AbsorberFamily(1, (VAbsorber(0, (2, 3)), VAbsorber(0, (4, 5))), {})
+    fam = (VAbsorber(0, (2, 3)), VAbsorber(0, (4, 5)))
     pa = build_absorbing_path(g, 1, Fraction(0), fam, seed=4)
     assert pa.path.vertices == (2, 3, 4, 5)
     out = absorb(g, pa, {0, 1})
@@ -244,7 +242,7 @@ def test_absorb_matches_beyond_first_fit():
 def test_absorb_packs_a_clique_into_one_segment():
     # both 0 and 5 sit between the halves: the segment clique covers the rest
     g = Graph.complete(9)
-    fam = AbsorberFamily(2, (VAbsorber(0, (1, 2, 3, 4)),), {})
+    fam = (VAbsorber(0, (1, 2, 3, 4)),)
     pa = build_absorbing_path(g, 2, Fraction(0), fam, seed=1)
     out = absorb(g, pa, {0, 5})
     assert oracle_is_kpath(g, out.vertices, 2)
@@ -254,7 +252,7 @@ def test_absorb_packs_a_clique_into_one_segment():
 def test_absorb_capacity_error_names_the_vertex():
     # a k=2 segment holds at most two extras, the third has nowhere to go
     g = Graph.complete(9)
-    fam = AbsorberFamily(2, (VAbsorber(0, (1, 2, 3, 4)),), {})
+    fam = (VAbsorber(0, (1, 2, 3, 4)),)
     pa = build_absorbing_path(g, 2, Fraction(0), fam, seed=1)
     with pytest.raises(CapacityError) as err:
         absorb(g, pa, {0, 5, 6})
@@ -263,19 +261,10 @@ def test_absorb_capacity_error_names_the_vertex():
 
 def test_absorb_rejects_vertices_already_on_the_path():
     g = Graph.complete(8)
-    fam = AbsorberFamily(2, (VAbsorber(0, (1, 2, 3, 4)),), {})
+    fam = (VAbsorber(0, (1, 2, 3, 4)),)
     pa = build_absorbing_path(g, 2, Fraction(0), fam, seed=1)
     with pytest.raises(InputError):
         absorb(g, pa, {3})
-
-
-def test_absorb_spends_segments_across_calls():
-    g = Graph.complete(10)
-    fam = AbsorberFamily(2, (VAbsorber(0, (1, 2, 3, 4)),), {})
-    pa = build_absorbing_path(g, 2, Fraction(0), fam, seed=1)
-    absorb(g, pa, {0})
-    with pytest.raises(CapacityError):
-        absorb(g, pa, {5})
 
 
 def test_absorb_bulk_on_random_graph():
@@ -285,7 +274,7 @@ def test_absorb_bulk_on_random_graph():
                            max_members=6)
     pa = build_absorbing_path(g, 2, zeta, fam, seed=17)
     off_path = [v for v in range(g.n) if not (pa.path.mask >> v) & 1]
-    seg_masks = [mask_of(fam.members[m].clique) for m in pa.member_ids]
+    seg_masks = [mask_of(fam[m].clique) for m in pa.member_ids]
     xs = [v for v in off_path
           if any(g.adj[v] & m == m for m in seg_masks)][:3]
     assert len(xs) == 3
@@ -308,7 +297,7 @@ def test_absorption_preserves_validity_across_seeds():
             pa = build_absorbing_path(g, 2, zeta, fam, seed=seed)
         except AssemblyError:
             continue
-        seg_masks = [mask_of(fam.members[m].clique) for m in pa.member_ids]
+        seg_masks = [mask_of(fam[m].clique) for m in pa.member_ids]
         xs = [v for v in range(g.n)
               if not (pa.path.mask >> v) & 1
               and any(g.adj[v] & m == m for m in seg_masks)][:2]

@@ -149,6 +149,14 @@ def test_find_failure_exit_code_and_stage(tmp_path, capsys):
     assert out["report"]["failed_stage"] == "absorbing_path"
 
 
+def test_find_single_vertex_graph_exits_two(tmp_path, capsys):
+    path = tmp_path / "one.txt"
+    path.write_text("p 1 0\n")
+    assert run(["find", str(path), "-k", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "at least 2 vertices" in err
+
+
 def test_find_json_output_is_byte_stable(tmp_path, capsys):
     path = graph_file(tmp_path, gnp(36, Fraction(3, 4), 4))
     run(["find", path, "-k", "2", "--seed", "4", "--json"])
@@ -316,9 +324,16 @@ def test_bench_csv_layout(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     header = lines[0].split(",")
     assert header[:6] == ["n", "p", "k", "seed", "success", "stage"]
-    assert header[-1] == "t_total"
+    assert header[6:] == ["t_setup", "t_absorbing_path", "t_reservoir",
+                          "t_cover", "t_connect", "t_absorb", "t_total"]
     assert len(lines) == 4
-    assert all(row.split(",")[4] == "1" for row in lines[1:])
+    for line in lines[1:]:
+        row = line.split(",")
+        assert row[4] == "1"
+        # each column is rounded to 1e-6 on its own
+        times = [float(x) for x in row[6:]]
+        assert abs(sum(times[:-1]) - times[-1]) <= 1e-5
+        assert times[0] > 0
     assert "cell n=20" in capsys.readouterr().err
 
 

@@ -51,9 +51,8 @@ def test_connect_gnp_validates():
 
 def test_connect_respects_forbidden_and_allowed():
     g = Graph.complete(10)
-    forbidden = mask_of((4, 5, 6))
     req = ConnectRequest((0, 1), (2, 3), k=2, max_inner=3,
-                         forbidden=forbidden, allowed_inner=mask_of((7, 8)))
+                         allowed_inner=mask_of((7, 8)))
     # force at least one inner vertex by walls: none needed in K10, so m=0 wins
     p = connect(g, req)
     assert p.vertices == (0, 1, 2, 3)
@@ -61,11 +60,20 @@ def test_connect_respects_forbidden_and_allowed():
     g2 = Graph.from_edges(10, [(u, v) for u in range(10) for v in range(u + 1, 10)
                                if (u, v) != (1, 2)])
     p2 = connect(g2, ConnectRequest((0, 1), (2, 3), k=2, max_inner=3,
-                                    forbidden=forbidden,
                                     allowed_inner=mask_of((7, 8))))
     assert p2 is not None
     inner = set(p2.vertices) - {0, 1, 2, 3}
     assert inner and inner <= {7, 8}
+    # a forbidden set is the complement of the allowed one; the ends may
+    # lie in the allowed mask, they are never reused as inner vertices
+    forbidden = mask_of((4, 5, 6, 7))
+    for seed in range(5):
+        p3 = connect(g2, ConnectRequest((0, 1), (2, 3), k=2, max_inner=3,
+                                        allowed_inner=g2.full_mask()
+                                        & ~forbidden, seed=seed))
+        inner = set(p3.vertices) - {0, 1, 2, 3}
+        assert inner and inner <= {8, 9}
+        assert len(p3.vertices) == len(set(p3.vertices))
 
 
 def test_connect_prefers_marked_inner():
@@ -106,8 +114,11 @@ def test_connect_input_errors():
         connect(g, ConnectRequest((0, 1), (1, 2), k=2, max_inner=2))  # overlap
     with pytest.raises(InputError):
         connect(Graph.complete(6),
+                ConnectRequest((0, 1), (2, 3), k=2, max_inner=-1))
+    with pytest.raises(InputError):
+        connect(Graph.complete(6),
                 ConnectRequest((0, 1), (2, 3), k=2, max_inner=2,
-                               forbidden=mask_of((0,))))
+                               min_inner=3))
 
 
 def test_connect_determinism():

@@ -1,5 +1,6 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +10,10 @@ from powerham.errors import (InfeasibleSetError, InputError, PowerhamError,
                              SizeError)
 from powerham.generators import (clique_complement, complete_multipartite,
                                  gnp)
+from powerham import hamiltonian
 from powerham.graph import Graph, is_clique
-from powerham.hamiltonian import (Certificate, PipelineConfig, StageReport,
+from powerham.hamiltonian import (STAGES, Certificate, PipelineConfig,
+                                  StageReport,
                                   brute_force_oracle, canonicalize,
                                   extract_clique_factor,
                                   find_hamiltonian_power,
@@ -178,6 +181,38 @@ def test_pipeline_rejects_empty_graphs():
     with pytest.raises(InputError):
         find_hamiltonian_power(Graph.from_edges(0, []),
                                PipelineConfig(k=1))
+
+
+def test_pipeline_rejects_single_vertex_graphs():
+    g = Graph.from_edges(1, [])
+    with pytest.raises(InputError, match="at least 2 vertices"):
+        find_hamiltonian_power(g, PipelineConfig(k=1))
+    with pytest.raises(InputError, match="at least 2 vertices"):
+        find_with_hitting_sets(g, PipelineConfig(k=1), [])
+
+
+def test_timings_cover_setup_and_every_attempt(monkeypatch):
+    # a clock that ticks once per read makes every timed block last one
+    # tick, so each timing counts the blocks run under its name
+    ticks = count()
+    monkeypatch.setattr(hamiltonian, "time",
+                        SimpleNamespace(perf_counter=lambda: next(ticks)))
+    # a degree-1 vertex lies on no Hamilton cycle; every attempt builds the
+    # absorbing path, then fails to close the cycle in both reservoir rounds
+    g = gnp(20, Fraction(3, 4), 1)
+    g = Graph.from_edges(20, [(u, v) for u, v in combinations(range(20), 2)
+                              if u != 0 and g.has_edge(u, v)] + [(0, 1)])
+    for retries in (0, 2):
+        rep = find_hamiltonian_power(
+            g, PipelineConfig(k=1, seed=0, retries=retries)).report
+        assert rep.failed_stage == "connect"
+        assert rep.attempts == retries + 1
+        assert set(rep.timings) <= {"setup", *STAGES}
+        assert rep.timings == {"setup": 1,
+                               "absorbing_path": rep.attempts,
+                               "reservoir": 2 * rep.attempts,
+                               "cover": 2 * rep.attempts,
+                               "connect": 2 * rep.attempts}
 
 
 def test_report_json_shape():
