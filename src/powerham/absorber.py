@@ -6,10 +6,11 @@ down consecutively inside a path, the segment stays a valid k-path whether
 or not v is spliced into its midpoint, because v is adjacent to all 2k
 segment vertices and any window containing v sees only segment vertices.
 
-The module covers the full lifecycle: draw candidate absorbers per
-vertex, sample a pairwise disjoint family with per-vertex rate limiting,
-join the family into one absorbing path, and finally absorb a set of
-leftover vertices by matching them to segments.
+The module covers the full lifecycle: sample a pairwise disjoint family
+with per-vertex rate limiting, growing each candidate lazily inside the
+running common neighbourhood only when an admission turn needs one, join
+the family into one absorbing path, and finally absorb a set of leftover
+vertices by matching them to segments.
 """
 
 from __future__ import annotations
@@ -22,14 +23,14 @@ from typing import Iterable
 
 from .connector import ConnectRequest, connect
 from .errors import AssemblyError, CapacityError, InputError
-from .graph import (Graph, common_neighborhood_mask, is_clique, list_cliques,
-                    mask_of, verts_of)
+from .graph import (Graph, common_neighborhood_mask, list_cliques, mask_of,
+                    verts_of)
 from .pathcover import KPath, is_valid_kpath
 from .properties import is_connectable
 from .rng import DEFAULT_SEED, SplitMix64
 
 PER_VERTEX_CAP = 8
-ENUMERATION_SLACK = 4    # fetch a few extra candidates; disjointification eats some
+GROW_TRIES = 4           # grow attempts a vertex gets per admission turn
 
 
 @dataclass(frozen=True)
@@ -98,49 +99,31 @@ def _split(g: Graph, clique: tuple[int, ...], threshold: int
 class FamilyStats:
     """Bookkeeping from one sampling run."""
 
-    sampled: int          # candidates that survived the coin flips
-    discarded: int        # sampled candidates dropped for overlap or caps
-    members: int
-    candidates_min: int   # per-vertex sampled counts, before disjointification
-    candidates_mean: float
-    coverage_min: int     # per-vertex usable members, after disjointification
+    draws: int            # grow attempts in the admission rounds
+    sampled: int          # grown absorbers that survived the coin flip
+    members: int          # sampled plus the rescue pass's members
+    coverage_min: int     # per-vertex usable members
     coverage_mean: float
 
-    @property
-    def discard_rate(self) -> float:
-        return self.discarded / self.sampled if self.sampled else 0.0
 
+def _grow(g: Graph, v: int, k: int, used: int, threshold: int,
+          rng: SplitMix64) -> tuple[int, ...] | None:
+    """Grow one random 2k-clique inside N(v) minus ``used`` and split it.
 
-def _draw_candidates(g: Graph, v: int, k: int, threshold: int, p: Fraction,
-                     rng: SplitMix64, want: int, attempts: int) -> list[VAbsorber]:
-    # random draws rather than a slice of the deterministic enumeration:
-    # lexicographic prefixes collide across vertices and starve the family
-    nb = verts_of(g.adj[v])
-    if len(nb) < 2 * k:
-        return []
-    seen: set[tuple[int, ...]] = set()
-    out: list[VAbsorber] = []
-    for _ in range(attempts):
-        if len(out) >= want:
-            break
-        picked: list[int] = []
-        mask = 0
-        for _ in range(2 * k):
-            u = nb[rng.below(len(nb))]
-            while (mask >> u) & 1:
-                u = nb[rng.below(len(nb))]
-            picked.append(u)
-            mask |= 1 << u
-        tup = tuple(sorted(picked))
-        if tup in seen:
-            continue
-        seen.add(tup)
-        if not is_clique(g, tup):
-            continue
-        split = _split(g, tup, threshold)
-        if split is not None and rng.chance(p):
-            out.append(VAbsorber(v, split))
-    return out
+    Each pick is uniform over the running common neighbourhood of v and
+    the vertices picked so far, so the result is a clique by construction.
+    None when the neighbourhood runs dry or no split qualifies.
+    """
+    pool = g.adj[v] & ~used
+    picked = []
+    for _ in range(2 * k):
+        if not pool:
+            return None
+        cands = verts_of(pool)
+        u = cands[rng.below(len(cands))]
+        picked.append(u)
+        pool &= g.adj[u]
+    return _split(g, tuple(sorted(picked)), threshold)
 
 
 def sample_family(g: Graph, k: int, zeta: Fraction, p: Fraction, seed: int = DEFAULT_SEED,
@@ -149,12 +132,15 @@ def sample_family(g: Graph, k: int, zeta: Fraction, p: Fraction, seed: int = DEF
                   ) -> tuple[tuple[VAbsorber, ...], FamilyStats]:
     """Sample a disjoint absorber family, rate limited per vertex.
 
-    Candidate 2k-tuples are drawn at random from each neighborhood, checked
-    for the absorber properties, kept independently with probability p, then
-    admitted round robin across vertices so no vertex floods the family
-    before others get a turn.  A candidate is discarded when it overlaps an
-    admitted member or its vertex already owns ``per_vertex_cap`` members;
-    ``max_members`` caps the whole family.
+    Admission runs in rounds over the vertices of degree >= 2k, fewest
+    neighbours first, one admission per vertex per round.  A vertex's turn
+    grows up to ``GROW_TRIES`` candidates lazily, each a random 2k-clique
+    inside its neighbourhood minus the vertices admitted members already
+    hold, so candidates never overlap the family; the first one whose
+    halves are connectable and that survives a coin flip of rate p joins.
+    A vertex that grows nothing in its turn, or owns ``per_vertex_cap``
+    members, leaves the rotation; rounds end when one admits nothing or
+    the family holds ``max_members``.
     """
     p = Fraction(p)
     if not 0 < p <= 1:
@@ -163,48 +149,40 @@ def sample_family(g: Graph, k: int, zeta: Fraction, p: Fraction, seed: int = DEF
         raise InputError("per-vertex cap must be >= 1")
     rng = SplitMix64(seed)
     threshold = ceil(Fraction(zeta) * g.n)
-    fetch = per_vertex_cap * ENUMERATION_SLACK
-    kept: dict[int, list[VAbsorber]] = {}
-    sampled = 0
-    counts = []
-    for v in range(g.n):
-        picked = _draw_candidates(g, v, k, threshold, p, rng,
-                                  want=fetch, attempts=16 * fetch)
-        counts.append(len(picked))
-        sampled += len(picked)
-        if picked:
-            kept[v] = picked
-
+    # a disjoint family holds at most n / 2k members, so n never binds
+    cap = g.n if max_members is None else max_members
     members: list[VAbsorber] = []
-    owned = {v: 0 for v in kept}
+    owned = [0] * g.n
     used = 0
-    discarded = 0
-    queues = {v: list(reversed(cands)) for v, cands in kept.items()}
+    draws = 0
     # vertices with the fewest neighbors are hostable by the fewest
     # segments, so they get first claim on owning one
-    admit_order = sorted(queues, key=lambda v: (g.adj[v].bit_count(), v))
-    progress = True
-    while progress and (max_members is None or len(members) < max_members):
-        progress = False
-        for v in admit_order:
-            if max_members is not None and len(members) >= max_members:
+    rotation = sorted((v for v in range(g.n) if g.degree(v) >= 2 * k),
+                      key=lambda v: (g.degree(v), v))
+    while rotation and len(members) < cap:
+        before = len(members)
+        stay = []
+        for v in rotation:
+            if len(members) >= cap:
                 break
-            queue = queues[v]
-            while queue:
-                cand = queue.pop()
-                if owned[v] >= per_vertex_cap:
-                    discarded += 1
+            grew = False
+            for _ in range(GROW_TRIES):
+                draws += 1
+                split = _grow(g, v, k, used, threshold, rng)
+                if split is None:
                     continue
-                if cand.mask & used:
-                    discarded += 1
-                    continue
-                members.append(cand)
-                owned[v] += 1
-                used |= cand.mask
-                progress = True
-                break   # one admission per vertex per round
+                grew = True
+                if rng.chance(p):
+                    members.append(VAbsorber(v, split))
+                    owned[v] += 1
+                    used |= mask_of(split)
+                    break
+            if grew and owned[v] < per_vertex_cap:
+                stay.append(v)
+        rotation = stay if len(members) > before else []
+    sampled = len(members)
 
-    # rescue pass: random draws thin out badly once the admitted members
+    # rescue pass: random growth thins out badly once the admitted members
     # blanket the dense core, so an undershot family is topped up by direct
     # enumeration among vertices no member has claimed yet
     if max_members is not None and len(members) < max_members:
@@ -213,7 +191,7 @@ def sample_family(g: Graph, k: int, zeta: Fraction, p: Fraction, seed: int = DEF
         for v in order:
             if len(members) >= max_members:
                 break
-            if owned.get(v, 0) >= per_vertex_cap:
+            if owned[v] >= per_vertex_cap:
                 continue
             within = g.adj[v] & ~used & ~(1 << v)
             if within.bit_count() < 2 * k:
@@ -231,18 +209,16 @@ def sample_family(g: Graph, k: int, zeta: Fraction, p: Fraction, seed: int = DEF
                     best = (score, split)
             if best is not None:
                 members.append(VAbsorber(v, best[1]))
-                owned[v] = owned.get(v, 0) + 1
+                owned[v] += 1
                 used |= mask_of(best[1])
 
     # a segment absorbs w exactly when w is adjacent to all 2k of its vertices
     masks = [ab.mask for ab in members]
     coverage = [sum(g.adj[w] & m == m for m in masks) for w in range(g.n)]
     stats = FamilyStats(
+        draws=draws,
         sampled=sampled,
-        discarded=discarded,
         members=len(members),
-        candidates_min=min(counts) if counts else 0,
-        candidates_mean=sum(counts) / len(counts) if counts else 0.0,
         coverage_min=min(coverage) if coverage else 0,
         coverage_mean=sum(coverage) / len(coverage) if coverage else 0.0,
     )

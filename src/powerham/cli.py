@@ -364,7 +364,8 @@ def _cmd_bench(args) -> int:
             timings = res.report.timings
             row = {"n": n, "p": str(p), "k": k, "seed": seed,
                    "success": int(res.ok),
-                   "stage": res.report.failed_stage or ""}
+                   "stage": res.report.failed_stage or "",
+                   "attempts": res.report.attempts}
             for name in TIMED:
                 row[f"t_{name}"] = f"{timings.get(name, 0.0):.6f}"
             row["t_total"] = f"{sum(timings.values()):.6f}"
@@ -372,7 +373,7 @@ def _cmd_bench(args) -> int:
             wins += res.ok
         print(f"cell n={n} p={p} k={k}: {wins}/{seeds}", file=sys.stderr)
 
-    header = ["n", "p", "k", "seed", "success", "stage"]
+    header = ["n", "p", "k", "seed", "success", "stage", "attempts"]
     header += [f"t_{name}" for name in TIMED] + ["t_total"]
     out = sys.stdout if args.out == "-" else open(args.out, "w",
                                                   encoding="utf-8",

@@ -568,8 +568,26 @@ def _run_pipeline(g: Graph, cfg: PipelineConfig,
 
 
 def find_hamiltonian_power(g: Graph, cfg: PipelineConfig) -> PipelineResult:
-    """Run the staged search; the result always carries a stage report."""
-    return _run_pipeline(g, cfg)
+    """Run the staged search; the result always carries a stage report.
+
+    Below 4k vertices stage 1 can never hold two disjoint 2k-clique
+    absorbers, so no attempt is made: the brute-force oracle answers up to
+    ``ORACLE_CAP`` vertices and larger graphs are refused, both timed under
+    ``setup``.
+    """
+    n, k = g.n, cfg.k
+    if not 2 <= n < 4 * k:
+        return _run_pipeline(g, cfg)
+    timings: dict = {}
+    with _timed(timings, "setup"):
+        cert = brute_force_oracle(g, k) if n <= ORACLE_CAP else None
+    why = f"n < 4k leaves no room for two disjoint {2 * k}-clique absorbers"
+    note = (f"{why}; answered by the brute-force oracle" if n <= ORACLE_CAP
+            else f"refused: {why}, and n exceeds the oracle cap {ORACLE_CAP}")
+    report = StageReport(n, k, cfg.mode, 0,
+                         None if cert else "absorbing_path", {}, timings,
+                         (note,))
+    return PipelineResult(cert, report)
 
 
 def window_tallies(cert: Certificate, sets: list[tuple[int, ...]]

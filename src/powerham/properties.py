@@ -245,14 +245,6 @@ def inseparable_exact(g: Graph) -> InseparabilityReport:
                                 best_witness)
 
 
-def _cut_ratio(g: Graph, mask: int) -> Fraction | None:
-    size = mask.bit_count()
-    if size in (0, g.n):
-        return None
-    cut = sum((g.adj[v] & ~mask).bit_count() for v in iter_bits(mask))
-    return Fraction(cut, size * (g.n - size))
-
-
 def inseparable_heuristic(g: Graph, seed: int = 0,
                           budget: int = 20000) -> InseparabilityReport:
     """Upper bound on mu_star from the best cut found by three heuristics.
@@ -260,34 +252,34 @@ def inseparable_heuristic(g: Graph, seed: int = 0,
     Runs a degree-ordered sweep, a spectral sweep along an approximate
     Fiedler vector (power iteration with the all-ones direction deflated),
     and seeded local search; reports the sparsest cut encountered.  The cut
-    is exhibited, so mu_star <= reported ratio.
+    is exhibited, so mu_star <= reported ratio.  Cuts are tracked
+    incrementally: moving v across changes the cut by
+    +-(deg(v) - 2 |N(v) & side|), and ratios are compared by integer
+    cross-multiplication.
     """
     n = g.n
     if n < 2:
         raise InputError("inseparability needs n >= 2")
+    adj = g.adj
+    degs = [row.bit_count() for row in adj]
     full = g.full_mask()
-    best: Fraction | None = None
+    best_cut, best_den = 1, 0   # +infinity
     best_mask = 1
 
-    def consider(mask: int):
-        nonlocal best, best_mask
-        r = _cut_ratio(g, mask)
-        if r is not None and (best is None or r < best):
-            best, best_mask = r, mask
+    def consider(mask: int, cut: int, size: int):
+        nonlocal best_cut, best_den, best_mask
+        den = size * (n - size)
+        if cut * best_den < best_cut * den:
+            best_cut, best_den, best_mask = cut, den, mask
 
-    # degree-ordered sweep
-    order = sorted(range(n), key=lambda v: (g.degree(v), v))
-    mask = 0
-    for v in order[:-1]:
-        mask |= 1 << v
-        consider(mask)
-
-    # spectral sweep
-    for value_order in _fiedler_orders(g):
-        mask = 0
-        for v in value_order[:-1]:
+    # degree-ordered sweep, then spectral sweeps
+    orders = [sorted(range(n), key=lambda v: (degs[v], v))]
+    for order in orders + _fiedler_orders(g):
+        mask = cut = 0
+        for size, v in enumerate(order[:-1], start=1):
+            cut += degs[v] - 2 * (adj[v] & mask).bit_count()
             mask |= 1 << v
-            consider(mask)
+            consider(mask, cut, size)
 
     # seeded local search on the ratio
     rng = SplitMix64(seed)
@@ -296,22 +288,29 @@ def inseparable_heuristic(g: Graph, seed: int = 0,
         mask = rng.next_u64() & full
         if mask in (0, full):
             mask = 1
-        cur = _cut_ratio(g, mask)
+        size = mask.bit_count()
+        cut = sum((adj[v] & ~mask).bit_count() for v in iter_bits(mask))
         improved = True
         while improved and spent < budget:
             improved = False
             for v in range(n):
-                cand_mask = mask ^ (1 << v)
                 spent += 1
-                if cand_mask in (0, full):
+                step = degs[v] - 2 * (adj[v] & mask).bit_count()
+                if (mask >> v) & 1:
+                    cand_cut, cand_size = cut - step, size - 1
+                else:
+                    cand_cut, cand_size = cut + step, size + 1
+                if cand_size in (0, n):
                     continue
-                cand = _cut_ratio(g, cand_mask)
-                if cand < cur:
-                    mask, cur = cand_mask, cand
+                # cand_cut / cand_den < cut / den
+                if (cand_cut * size * (n - size)
+                        < cut * cand_size * (n - cand_size)):
+                    mask ^= 1 << v
+                    cut, size = cand_cut, cand_size
                     improved = True
-        consider(mask)
+        consider(mask, cut, size)
 
-    return InseparabilityReport("heuristic", best,
+    return InseparabilityReport("heuristic", Fraction(best_cut, best_den),
                                 _canonical_side(best_mask, full))
 
 
@@ -325,12 +324,13 @@ def _fiedler_orders(g: Graph):
     import numpy as np
 
     n = g.n
-    lap = np.zeros((n, n))
-    for v in range(n):
-        lap[v, v] = g.degree(v)
-        for u in iter_bits(g.adj[v]):
-            lap[v, u] = -1.0
-    c = 2.0 * max(g.degree(v) for v in range(n)) + 1.0
+    width = (n + 7) // 8
+    rows = b"".join(row.to_bytes(width, "little") for row in g.adj)
+    adj = np.unpackbits(np.frombuffer(rows, dtype=np.uint8),
+                        bitorder="little").reshape(n, 8 * width)[:, :n]
+    degs = adj.sum(axis=1)
+    lap = np.diag(degs.astype(float)) - adj
+    c = 2.0 * float(degs.max()) + 1.0
     shifted = c * np.eye(n) - lap
     ones = np.ones(n) / np.sqrt(n)
     basis = [ones]

@@ -3,10 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powerham.absorber import (
     VAbsorber,
-    _draw_candidates,
+    _grow,
     _split,
     absorb,
     build_absorbing_path,
@@ -16,6 +18,7 @@ from powerham.absorber import (
 from powerham.errors import AssemblyError, CapacityError, InputError
 from powerham.generators import gnp
 from powerham.graph import Graph, list_cliques, mask_of
+from powerham.hamiltonian import _family_target
 from powerham.pathcover import is_valid_kpath
 from powerham.rng import SplitMix64
 
@@ -54,8 +57,10 @@ def test_complete_graph_every_clique_qualifies(k):
 def test_low_degree_vertex_has_no_absorbers():
     g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (4, 5)])
     for v in (4, 0):   # deg 2 < 4
-        assert _draw_candidates(g, v, 2, 0, Fraction(1), SplitMix64(0),
-                                want=8, attempts=64) == []
+        assert _grow(g, v, 2, 0, 0, SplitMix64(0)) is None
+    # no vertex reaches degree 2k, so none enters the admission rounds
+    fam, stats = sample_family(g, 2, Fraction(0), Fraction(1), seed=0)
+    assert fam == () and stats.draws == 0
 
 
 def test_enumeration_is_deterministic_and_revalidates():
@@ -112,8 +117,8 @@ def test_sample_family_members_are_disjoint_and_valid():
                 for v in range(g.n)]
     assert stats.coverage_min == min(coverage)
     assert stats.coverage_mean == sum(coverage) / g.n
-    assert stats.sampled >= stats.members
-    assert 0.0 <= stats.discard_rate <= 1.0
+    # without max_members there is no rescue pass
+    assert stats.draws >= stats.sampled == stats.members
     assert stats.coverage_min <= stats.coverage_mean
 
 
@@ -131,6 +136,41 @@ def test_sample_family_vanishing_rate_gives_empty_family():
     fam, stats = sample_family(g, 2, Fraction(1, 10), Fraction(1, 2 ** 40), seed=9)
     assert len(fam) == 0
     assert stats.members == 0 and stats.sampled == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(6, 24), st.integers(0, 2 ** 32), st.integers(1, 2),
+       st.sampled_from([Fraction(1), Fraction(1, 2)]), st.integers(1, 3),
+       st.one_of(st.none(), st.integers(1, 6)), st.integers(0, 2 ** 32))
+def test_sample_family_properties(n, gseed, k, p, cap, max_members, seed):
+    g = gnp(n, Fraction(3, 4), gseed)
+    zeta = Fraction(1, 10)
+
+    def run():
+        return sample_family(g, k, zeta, p, seed=seed, per_vertex_cap=cap,
+                             max_members=max_members)
+
+    fam, stats = run()
+    assert (fam, stats) == run()
+    seen = 0
+    for ab in fam:
+        assert ab.k == k and not seen & ab.mask
+        seen |= ab.mask
+        assert is_valid_absorber(g, ab, zeta)
+    owners = [ab.v for ab in fam]
+    assert all(owners.count(v) <= cap for v in owners)
+    assert max_members is None or len(fam) <= max_members
+    assert len(fam) == stats.members >= stats.sampled
+
+
+def test_sample_family_grows_about_one_clique_per_member():
+    # random 6-tuples of N(v) are cliques ~1% of the time here, so the
+    # grown draws are the difference between ms and seconds
+    g = gnp(300, Fraction(3, 4), 0)
+    fam, stats = sample_family(g, 3, Fraction(1, 25), Fraction(1), seed=0,
+                               max_members=_family_target(300, 3))
+    assert len(fam) == _family_target(300, 3)
+    assert stats.draws <= 2 * stats.members
 
 
 def test_sample_family_rejects_bad_rate():

@@ -149,6 +149,23 @@ def test_find_failure_exit_code_and_stage(tmp_path, capsys):
     assert out["report"]["failed_stage"] == "absorbing_path"
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_find_below_4k_vertices_answers_without_attempts(tmp_path, capsys, k):
+    for n in range(2, 4 * k):
+        path = graph_file(tmp_path, Graph.complete(n))
+        code, out = run_json(capsys, ["find", path, "-k", str(k), "--json"])
+        assert code == 0 and out["ok"] is True
+        assert oracle_power_ham_cycle(Graph.complete(n),
+                                      out["certificate"]["ordering"], k)
+        assert out["report"]["attempts"] == 0
+        assert out["report"]["failed_stage"] is None
+    path = graph_file(tmp_path, Graph.cycle(3 * k + 1))   # too sparse
+    assert run(["find", path, "-k", str(k + 1)]) == 1
+    captured = capsys.readouterr()
+    assert "stage 'absorbing_path' after 0 attempt(s)" in captured.out
+    assert "oracle" in captured.err
+
+
 def test_find_single_vertex_graph_exits_two(tmp_path, capsys):
     path = tmp_path / "one.txt"
     path.write_text("p 1 0\n")
@@ -323,15 +340,16 @@ def test_bench_csv_layout(tmp_path, capsys):
                 "--out", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
     header = lines[0].split(",")
-    assert header[:6] == ["n", "p", "k", "seed", "success", "stage"]
-    assert header[6:] == ["t_setup", "t_absorbing_path", "t_reservoir",
+    assert header[:7] == ["n", "p", "k", "seed", "success", "stage",
+                          "attempts"]
+    assert header[7:] == ["t_setup", "t_absorbing_path", "t_reservoir",
                           "t_cover", "t_connect", "t_absorb", "t_total"]
     assert len(lines) == 4
     for line in lines[1:]:
         row = line.split(",")
-        assert row[4] == "1"
+        assert row[4] == "1" and row[5] == "" and int(row[6]) >= 1
         # each column is rounded to 1e-6 on its own
-        times = [float(x) for x in row[6:]]
+        times = [float(x) for x in row[7:]]
         assert abs(sum(times[:-1]) - times[-1]) <= 1e-5
         assert times[0] > 0
     assert "cell n=20" in capsys.readouterr().err

@@ -161,12 +161,47 @@ def test_pipeline_certificate_agrees_with_reference_checker():
 
 
 def test_pipeline_reports_stage_failure_on_sparse_cycles():
-    # C_7 holds no 4-clique, so no absorber family can exist for k = 2
-    res = find_hamiltonian_power(Graph.cycle(7), PipelineConfig(k=2, seed=0))
+    # C_9 holds no 4-clique, so no absorber family can exist for k = 2
+    res = find_hamiltonian_power(Graph.cycle(9), PipelineConfig(k=2, seed=0))
     assert not res.ok
     assert res.certificate is None
     assert res.report.failed_stage == "absorbing_path"
     assert res.report.attempts == 10      # default retries exhausted
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_graphs_below_4k_vertices_make_no_attempt(k):
+    # stage 1 needs two disjoint 2k-cliques, so these are the oracle's
+    for n in range(2, 4 * k):
+        g = Graph.complete(n)
+        res = find_hamiltonian_power(g, PipelineConfig(k=k, seed=0))
+        assert res.ok and verify(g, res.certificate)[0]
+        rep = res.report
+        assert (rep.attempts, rep.failed_stage, rep.stages) == (0, None, {})
+        assert set(rep.timings) == {"setup"}
+        assert "oracle" in rep.notes[0]
+    if k == 2:
+        # C_7 has no square: the oracle's "no" is reported at stage 1
+        rep = find_hamiltonian_power(Graph.cycle(7),
+                                     PipelineConfig(k=2)).report
+        assert (rep.attempts, rep.failed_stage) == (0, "absorbing_path")
+
+
+def test_graphs_below_4k_vertices_past_the_oracle_cap_are_refused():
+    res = find_hamiltonian_power(Graph.complete(15), PipelineConfig(k=4))
+    assert not res.ok
+    assert (res.report.attempts, res.report.failed_stage) == \
+        (0, "absorbing_path")
+    assert set(res.report.timings) == {"setup"}
+    assert res.report.notes[0].startswith("refused")
+
+
+def test_hitting_sets_keep_attempting_below_4k_vertices():
+    res = find_with_hitting_sets(Graph.complete(7), PipelineConfig(k=2),
+                                 [(0, 1, 2, 3)])
+    assert not res.ok
+    assert (res.report.attempts, res.report.failed_stage) == \
+        (10, "absorbing_path")
 
 
 def test_pipeline_is_deterministic():

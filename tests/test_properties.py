@@ -114,6 +114,31 @@ def test_inseparable_heuristic_vs_exact_gap():
     assert heur.mu_star == Fraction(cut, len(x) * (g.n - len(x)))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 10), st.sampled_from(["1/5", "1/2", "4/5"]),
+       st.integers(0, 2 ** 32), st.integers(0, 2 ** 16))
+def test_inseparable_heuristic_ratio_is_its_witness_cut(n, p, gseed, seed):
+    g = gnp(n, p, gseed)
+    heur = inseparable_heuristic(g, seed=seed, budget=300)
+    x = set(heur.witness)
+    assert 0 < len(x) < n
+    cut = oracles.oracle_edges_between(g, x, set(range(n)) - x)
+    assert heur.mu_star == Fraction(cut, len(x) * (n - len(x)))
+    assert heur.mu_star >= inseparable_exact(g).mu_star
+
+
+@pytest.mark.parametrize("g, seed, budget, mu, witness", [
+    (gnp(24, "2/5", 5), 5, 4000, Fraction(4, 23),
+     tuple(v for v in range(24) if v != 9)),
+    (generators.two_overlapping_cliques(30, Fraction(1, 3)), 1, 3000,
+     HALF, tuple(range(10))),
+    (Graph.cycle(12), 0, 2000, Fraction(1, 18), tuple(range(6))),
+])
+def test_inseparable_heuristic_pinned(g, seed, budget, mu, witness):
+    rep = inseparable_heuristic(g, seed=seed, budget=budget)
+    assert (rep.mu_star, rep.witness) == (mu, witness)
+
+
 # ------------------------------------------------------------ connectable
 
 def test_connectable_complete_graph_all_pass():
