@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import ceil
 from typing import Iterable
@@ -247,6 +248,15 @@ class AbsorbingPath:
         s = self.starts[i]
         return self.path.vertices[s : s + 2 * self.path.k]
 
+    @cached_property
+    def _segment_masks(self) -> tuple[int, ...]:
+        return tuple(mask_of(self.segment(i)) for i in range(len(self.starts)))
+
+    def hosts(self, g: Graph, v: int) -> list[int]:
+        """Segments that can host v: those whose 2k vertices v all sees."""
+        row = g.adj[v]
+        return [i for i, sm in enumerate(self._segment_masks) if row & sm == sm]
+
 
 def _validate(g: Graph, k: int, family: tuple[VAbsorber, ...],
               zeta: Fraction) -> None:
@@ -339,9 +349,7 @@ def absorb(g: Graph, pa: AbsorbingPath, x_set: Iterable[int]) -> KPath:
             raise InputError(f"vertex {v} already lies on the path")
 
     k = pa.path.k
-    seg_masks = [mask_of(pa.segment(i)) for i in range(len(pa.starts))]
-    usable = {v: [i for i, sm in enumerate(seg_masks) if g.adj[v] & sm == sm]
-              for v in xs}
+    usable = {v: pa.hosts(g, v) for v in xs}
 
     matched: dict[int, int] = {}   # segment -> its singleton vertex
 

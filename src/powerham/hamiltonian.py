@@ -424,11 +424,8 @@ def _attempt(g: Graph, cfg: PipelineConfig, seed: int, zeta: Fraction,
                                         capacity=capacity)
         # vertices no segment can host must leave the pool by routing,
         # so the connection search is told to spend them first
-        seg_masks = [mask_of(pa.segment(i)) for i in range(len(family))]
-        incompat = 0
-        for v in verts_of(g.full_mask() & ~head.mask):
-            if not any(g.adj[v] & sm == sm for sm in seg_masks):
-                incompat |= 1 << v
+        incompat = mask_of(v for v in verts_of(g.full_mask() & ~head.mask)
+                           if not pa.hosts(g, v))
     if cfg.stop_fraction is not None:
         stop_size = int(cfg.stop_fraction * n)
     else:

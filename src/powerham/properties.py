@@ -103,6 +103,17 @@ def _gray_flip(step: int) -> int:
     return (step & -step).bit_length() - 1
 
 
+def _random_mask(rng: SplitMix64, n: int) -> int:
+    """Uniform random subset of range(n): ceil(n/64) words, lowest first.
+
+    For n <= 64 this is one ``next_u64()`` masked to the n low bits.
+    """
+    mask = 0
+    for i in range(-(-n // 64)):
+        mask |= rng.next_u64() << (64 * i)
+    return mask & ((1 << n) - 1)
+
+
 def denseness_exact(g: Graph, d: Fraction) -> DensenessReport:
     """Least rho making g (rho, d)-dense, by full subset enumeration."""
     d = Fraction(d)
@@ -164,7 +175,7 @@ def denseness_heuristic(g: Graph, d: Fraction, seed: int = 0,
     spent = 0
     starts = [0, full]
     while spent < budget:
-        mask = starts.pop() if starts else rng.next_u64() & full
+        mask = starts.pop() if starts else _random_mask(rng, n)
         num = deficit_num(mask)
         improved = True
         while improved and spent < budget:
@@ -247,12 +258,11 @@ def inseparable_exact(g: Graph) -> InseparabilityReport:
 
 def inseparable_heuristic(g: Graph, seed: int = 0,
                           budget: int = 20000) -> InseparabilityReport:
-    """Upper bound on mu_star from the best cut found by three heuristics.
+    """Upper bound on mu_star from the best cut found by two heuristics.
 
-    Runs a degree-ordered sweep, a spectral sweep along an approximate
-    Fiedler vector (power iteration with the all-ones direction deflated),
-    and seeded local search; reports the sparsest cut encountered.  The cut
-    is exhibited, so mu_star <= reported ratio.  Cuts are tracked
+    Runs a degree-ordered sweep and a seeded local search restarted from
+    random subsets of all n vertices; reports the sparsest cut encountered.
+    The cut is exhibited, so mu_star <= reported ratio.  Cuts are tracked
     incrementally: moving v across changes the cut by
     +-(deg(v) - 2 |N(v) & side|), and ratios are compared by integer
     cross-multiplication.
@@ -272,20 +282,19 @@ def inseparable_heuristic(g: Graph, seed: int = 0,
         if cut * best_den < best_cut * den:
             best_cut, best_den, best_mask = cut, den, mask
 
-    # degree-ordered sweep, then spectral sweeps
-    orders = [sorted(range(n), key=lambda v: (degs[v], v))]
-    for order in orders + _fiedler_orders(g):
-        mask = cut = 0
-        for size, v in enumerate(order[:-1], start=1):
-            cut += degs[v] - 2 * (adj[v] & mask).bit_count()
-            mask |= 1 << v
-            consider(mask, cut, size)
+    # degree-ordered sweep
+    order = sorted(range(n), key=lambda v: (degs[v], v))
+    mask = cut = 0
+    for size, v in enumerate(order[:-1], start=1):
+        cut += degs[v] - 2 * (adj[v] & mask).bit_count()
+        mask |= 1 << v
+        consider(mask, cut, size)
 
     # seeded local search on the ratio
     rng = SplitMix64(seed)
     spent = 0
     while spent < budget:
-        mask = rng.next_u64() & full
+        mask = _random_mask(rng, n)
         if mask in (0, full):
             mask = 1
         size = mask.bit_count()
@@ -312,53 +321,6 @@ def inseparable_heuristic(g: Graph, seed: int = 0,
 
     return InseparabilityReport("heuristic", Fraction(best_cut, best_den),
                                 _canonical_side(best_mask, full))
-
-
-def _fiedler_orders(g: Graph):
-    """Vertex orders from approximate Laplacian eigenvectors.
-
-    Power iteration on (c I - L) with deflation of the all-ones vector;
-    returns sweeps along the second-smallest eigenvector and, for a little
-    extra diversity, the third (one more deflation round).
-    """
-    import numpy as np
-
-    n = g.n
-    width = (n + 7) // 8
-    rows = b"".join(row.to_bytes(width, "little") for row in g.adj)
-    adj = np.unpackbits(np.frombuffer(rows, dtype=np.uint8),
-                        bitorder="little").reshape(n, 8 * width)[:, :n]
-    degs = adj.sum(axis=1)
-    lap = np.diag(degs.astype(float)) - adj
-    c = 2.0 * float(degs.max()) + 1.0
-    shifted = c * np.eye(n) - lap
-    ones = np.ones(n) / np.sqrt(n)
-    basis = [ones]
-    orders = []
-    rng = np.random.default_rng(12345)  # fixed; only used for start vectors
-    for _ in range(2):
-        vec = rng.standard_normal(n)
-        rayleigh = 0.0
-        for _ in range(200):
-            for b in basis:
-                vec -= (vec @ b) * b
-            nrm = np.linalg.norm(vec)
-            if nrm < 1e-12:
-                break
-            vec /= nrm
-            new = shifted @ vec
-            new_rayleigh = float(vec @ new)
-            if abs(new_rayleigh - rayleigh) < 1e-9 * max(1.0, abs(rayleigh)):
-                vec = new
-                break
-            rayleigh = new_rayleigh
-            vec = new
-        nrm = np.linalg.norm(vec)
-        if nrm > 1e-12:
-            vec = vec / nrm
-            basis.append(vec.copy())
-            orders.append(sorted(range(n), key=lambda v: (vec[v], v)))
-    return orders
 
 
 def is_connectable(g: Graph, clique: tuple[int, ...], threshold: int) -> bool:

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+import powerham
 from powerham.cli import run
 from powerham.generators import gnp, two_overlapping_cliques
 from powerham.graph import Graph, to_text
@@ -172,6 +176,22 @@ def test_find_single_vertex_graph_exits_two(tmp_path, capsys):
     assert run(["find", str(path), "-k", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "at least 2 vertices" in err
+
+
+def test_find_loads_no_numpy(tmp_path):
+    # numpy serves only the test oracles; a fresh interpreter shows what
+    # `find` itself imports
+    path = graph_file(tmp_path, gnp(60, Fraction(3, 4), 11))
+    script = ("import sys\n"
+              "from powerham.cli import run\n"
+              f"code = run(['find', '-k', '1', {path!r}])\n"
+              "assert 'numpy' not in sys.modules, 'find imported numpy'\n"
+              "sys.exit(code)\n")
+    src = os.path.dirname(os.path.dirname(powerham.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_find_json_output_is_byte_stable(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Density, inseparability, connectable cliques, robust matchability."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -9,10 +10,12 @@ from hypothesis import strategies as st
 from powerham import generators
 from powerham.errors import InputError, SizeError
 from powerham.graph import Graph, edges_between, list_cliques
-from powerham.properties import (bipartite_denseness_exact, denseness_exact,
-                                 denseness_heuristic, inseparable_exact,
-                                 inseparable_heuristic, is_connectable,
-                                 min_degree, robustly_matchable_exact)
+from powerham.properties import (_random_mask, bipartite_denseness_exact,
+                                 denseness_exact, denseness_heuristic,
+                                 inseparable_exact, inseparable_heuristic,
+                                 is_connectable, min_degree,
+                                 robustly_matchable_exact)
+from powerham.rng import SplitMix64
 
 import oracles
 
@@ -137,6 +140,41 @@ def test_inseparable_heuristic_ratio_is_its_witness_cut(n, p, gseed, seed):
 def test_inseparable_heuristic_pinned(g, seed, budget, mu, witness):
     rep = inseparable_heuristic(g, seed=seed, budget=budget)
     assert (rep.mu_star, rep.witness) == (mu, witness)
+
+
+def test_random_mask_spans_all_vertices():
+    # local-search starts past 64 vertices draw one word per 64 vertices
+    rng = SplitMix64(7)
+    union = 0
+    for _ in range(20):
+        mask = _random_mask(rng, 200)
+        assert mask >> 200 == 0
+        union |= mask
+    assert union == (1 << 200) - 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 24, 63, 64])
+def test_random_mask_is_one_masked_word_up_to_64(n):
+    a, b = SplitMix64(n), SplitMix64(n)
+    for _ in range(5):
+        assert _random_mask(a, n) == b.next_u64() & ((1 << n) - 1)
+
+
+@pytest.mark.parametrize("n, seed", [(130, 0), (200, 3)])
+def test_inseparable_heuristic_finds_planted_cut_past_64(n, seed):
+    # two shuffled blocks, n/3 and 2n/3 vertices, dense inside, sparse across
+    rng = SplitMix64(seed)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    small = set(perm[:n // 3])
+    rest = set(range(n)) - small
+    edges = [(u, v) for u, v in combinations(range(n), 2)
+             if rng.chance(Fraction(3, 4) if (u in small) == (v in small)
+                           else Fraction(1, 10))]
+    g = Graph.from_edges(n, edges)
+    planted = Fraction(oracles.oracle_edges_between(g, small, rest),
+                       len(small) * len(rest))
+    assert inseparable_heuristic(g, seed=0, budget=2000).mu_star <= planted
 
 
 # ------------------------------------------------------------ connectable
