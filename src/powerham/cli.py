@@ -7,8 +7,8 @@ given explicitly.  Machine output goes to stdout as canonical JSON (sorted
 keys, no spaces) under --json, human-readable text otherwise; diagnostics
 and progress always go to stderr.
 
-Exit codes: 0 success, 1 verification or feasibility failure (a negative
-oracle, an invalid certificate, a failed pipeline stage, a failed
+Exit codes: 0 success, 1 a negative answer (a negative oracle, an invalid
+certificate, a failed pipeline stage, a separable graph, a failed
 matchability check), 2 usage errors and unreadable input.
 """
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from powerham.errors import InputError, SizeError
+from powerham.errors import InputError
 from powerham.graph import (Graph, common_neighborhood_mask, is_clique,
                             iter_bits, mask_of)
 from powerham.pathcover import KPath
@@ -64,12 +64,12 @@ class _Budget:
 
 
 def _search(g: Graph, req: ConnectRequest, m: int, budget: _Budget,
-            priority, count_mode: bool):
-    """DFS for connections with exactly m inner vertices.
+            priority) -> Optional[tuple[int, ...]]:
+    """DFS for a connection with exactly m inner vertices.
 
-    Returns a vertex tuple (or the exact count in count_mode); None when
-    the space is exhausted, and raises nothing on budget exhaustion --
-    the caller treats a dead budget as a miss.
+    Returns a vertex tuple; None when the space is exhausted, and raises
+    nothing on budget exhaustion -- the caller treats a dead budget as a
+    miss.
     """
     k = req.k
     ends_mask = mask_of(req.x_end) | mask_of(req.y_end)
@@ -82,7 +82,6 @@ def _search(g: Graph, req: ConnectRequest, m: int, budget: _Budget,
         dock.append(dock[-1] & g.adj[y])
 
     seq = list(req.x_end)
-    total = 0
 
     def dockable() -> bool:
         # append y_end through the same window discipline
@@ -94,12 +93,8 @@ def _search(g: Graph, req: ConnectRequest, m: int, budget: _Budget,
         return True
 
     def rec(depth: int, used: int) -> Optional[tuple[int, ...]]:
-        nonlocal total
         if depth == m:
             if dockable():
-                if count_mode:
-                    total += 1
-                    return None
                 return tuple(seq) + tuple(req.y_end)
             return None
         if not budget.spend():
@@ -119,10 +114,7 @@ def _search(g: Graph, req: ConnectRequest, m: int, budget: _Budget,
                 return got
         return None
 
-    got = rec(0, 0)
-    if count_mode:
-        return total
-    return got
+    return rec(0, 0)
 
 
 def connect(g: Graph, req: ConnectRequest) -> Optional[KPath]:
@@ -136,20 +128,10 @@ def connect(g: Graph, req: ConnectRequest) -> Optional[KPath]:
         priority[v] = rank
     budget = _Budget(req.node_budget)
     for m in range(req.min_inner, req.max_inner + 1):
-        got = _search(g, req, m, budget, priority, count_mode=False)
+        got = _search(g, req, m, budget, priority)
         if got is not None:
             return KPath(req.k, got)
         if budget.left is not None and budget.left <= 0:
             return None
     return None
 
-
-def enumerate_connections(g: Graph, req: ConnectRequest, m: int) -> int:
-    """Exact count of connections with exactly m inner vertices."""
-    req._validate(g)
-    if m > 6 or g.n > 30:
-        raise SizeError("enumeration is capped at m <= 6, n <= 30")
-    if m < 0:
-        raise InputError("m must be >= 0")
-    return _search(g, req, m, _Budget(None), list(range(g.n)),
-                   count_mode=True)

@@ -19,7 +19,6 @@ from typing import Optional
 
 from powerham.absorber import absorb, build_absorbing_path, sample_family
 from powerham.connector import ConnectRequest, connect
-from powerham.constants import feasibility, main_constants
 from powerham.errors import (AssemblyError, CapacityError, InfeasibleSetError,
                              InputError, PowerhamError, SizeError)
 from powerham.graph import Graph, is_clique, list_cliques, mask_of, verts_of
@@ -46,7 +45,6 @@ class PipelineConfig:
     stop_fraction: Optional[Fraction] = None
     retries: int = 9
     seed: int = DEFAULT_SEED
-    mode: str = "practical"
 
     def __post_init__(self):
         if self.k < 1:
@@ -65,8 +63,6 @@ class PipelineConfig:
                 raise InputError("stop_fraction must lie in (0, 1)")
         if self.retries < 0:
             raise InputError("retries must be >= 0")
-        if self.mode not in ("practical", "paper_constants"):
-            raise InputError("mode must be practical or paper_constants")
 
 
 @dataclass(frozen=True)
@@ -184,7 +180,6 @@ class StageReport:
     """What each stage did, which seeds it used, and where it stopped."""
     n: int
     k: int
-    mode: str
     attempts: int
     failed_stage: Optional[str]
     stages: dict
@@ -193,8 +188,8 @@ class StageReport:
 
     def to_json_dict(self):
         # timings stay out: reports must be byte-stable across runs
-        return {"n": self.n, "k": self.k, "mode": self.mode,
-                "attempts": self.attempts, "failed_stage": self.failed_stage,
+        return {"n": self.n, "k": self.k, "attempts": self.attempts,
+                "failed_stage": self.failed_stage,
                 "stages": self.stages, "notes": list(self.notes)}
 
 
@@ -385,14 +380,14 @@ def _certify(g: Graph, k: int, head: KPath, pa, layout: _CycleLayout,
     return cert
 
 
-def _attempt(g: Graph, cfg: PipelineConfig, seed: int, zeta: Fraction,
-             reservoir_fraction: Fraction, max_inner: int, timings: dict,
+def _attempt(g: Graph, cfg: PipelineConfig, seed: int, max_inner: int,
+             timings: dict,
              hitting: Optional[list[list[tuple[int, ...]]]] = None):
     """One full pass over the five stages; raises _StageFailure to retry.
 
     Each stage's wall time is added to ``timings`` under its name.
     """
-    n, k = g.n, cfg.k
+    n, k, zeta = g.n, cfg.k, cfg.zeta
     stages: dict = {}
     srng = SplitMix64(seed)
     s_family = srng.next_u64()
@@ -446,7 +441,7 @@ def _attempt(g: Graph, cfg: PipelineConfig, seed: int, zeta: Fraction,
             rrng = SplitMix64(round_seed)
             reservoir = 0
             for v in verts_of(g.full_mask() & ~head.mask):
-                if rrng.chance(reservoir_fraction):
+                if rrng.chance(cfg.reservoir_fraction):
                     reservoir |= 1 << v
             stages["reservoir"] = {"size": reservoir.bit_count(),
                                    "rounds": rnd + 1, "seed": round_seed}
@@ -462,12 +457,10 @@ def _attempt(g: Graph, cfg: PipelineConfig, seed: int, zeta: Fraction,
             if live.bit_count() <= min(max_inner, capacity):
                 if rnd == 0 or not live & incompat:
                     round_stop = live.bit_count()
-            # prune threshold 0: harvest even isolated cliques, the cycle
-            # closure copes with weak path ends by picking order and
-            # direction
+            # the cover harvests even isolated cliques; the cycle closure
+            # copes with weak path ends by picking order and direction
             cover_seed = cseed.next_u64()
-            cover = cover_with_paths(g, k, Fraction(0),
-                                     excluded=head.mask | reservoir,
+            cover = cover_with_paths(g, k, excluded=head.mask | reservoir,
                                      stop_size=round_stop, seed=cover_seed)
             stages["cover"] = {"paths": [len(p) for p in cover.paths],
                                "leftover": len(cover.leftover),
@@ -508,59 +501,29 @@ def _run_pipeline(g: Graph, cfg: PipelineConfig,
                   ) -> PipelineResult:
     """Set up once, then run attempts until one succeeds or retries run out.
 
-    ``timings`` covers the whole run: ``setup`` (the mu estimate and, in
-    paper-constants mode, the exact constants) plus every stage of every
-    attempt.
+    ``timings`` covers the whole run: ``setup`` (the mu estimate that sets
+    the connection length ceiling) plus every stage of every attempt.
     """
     n = g.n
     if n < 2:
         raise InputError("the pipeline needs a graph on at least 2 vertices")
-    if cfg.mode == "paper_constants" and g.edge_count == 0:
-        raise InputError("paper-constants mode needs a nonempty graph")
-    zeta, reservoir_fraction = cfg.zeta, cfg.reservoir_fraction
-    notes: list[str] = []
     timings: dict = {}
-    # a refusal's report shares ``timings``, so setup still lands in it
     with _timed(timings, "setup"):
         mu = inseparable_heuristic(g, seed=0, budget=2000).mu_star
         max_inner = _practical_max_inner(mu, cfg.k)
-        if cfg.mode == "paper_constants":
-            if mu <= 0:
-                report = StageReport(
-                    n, cfg.k, cfg.mode, 0, "feasibility",
-                    {"feasibility": {"ok": False, "reasons":
-                                     ["graph is separable (mu = 0)"]}},
-                    timings, ("refused: thresholds undefined at mu = 0",))
-                return PipelineResult(None, report)
-            d = Fraction(2 * g.edge_count, n * n)
-            mc = main_constants(d, mu, cfg.k)
-            feas = feasibility(mc, n)
-            if not feas.ok:
-                report = StageReport(
-                    n, cfg.k, cfg.mode, 0, "feasibility",
-                    {"feasibility": feas.to_json_dict(),
-                     "constants": mc.to_json_dict()},
-                    timings, ("refused: proof-grade thresholds are not "
-                              "satisfiable at this n",))
-                return PipelineResult(None, report)
-            zeta = mc.zeta
-            reservoir_fraction = mc.reservoir_rate
-            notes.append(
-                "proof-grade thresholds satisfied; using exact constants")
 
     arng = SplitMix64(cfg.seed)
     attempt_seeds = [arng.next_u64() for _ in range(cfg.retries + 1)]
     cert = None
     for attempt, aseed in enumerate(attempt_seeds, start=1):
         try:
-            cert, stages = _attempt(g, cfg, aseed, zeta, reservoir_fraction,
-                                    max_inner, timings, hitting)
+            cert, stages = _attempt(g, cfg, aseed, max_inner, timings,
+                                    hitting)
             failed = None
             break
         except _StageFailure as f:
             failed, stages = f.stage, f.stages
-    report = StageReport(n, cfg.k, cfg.mode, attempt, failed, stages,
-                         timings, tuple(notes))
+    report = StageReport(n, cfg.k, attempt, failed, stages, timings)
     return PipelineResult(cert, report)
 
 
@@ -581,9 +544,8 @@ def find_hamiltonian_power(g: Graph, cfg: PipelineConfig) -> PipelineResult:
     why = f"n < 4k leaves no room for two disjoint {2 * k}-clique absorbers"
     note = (f"{why}; answered by the brute-force oracle" if n <= ORACLE_CAP
             else f"refused: {why}, and n exceeds the oracle cap {ORACLE_CAP}")
-    report = StageReport(n, k, cfg.mode, 0,
-                         None if cert else "absorbing_path", {}, timings,
-                         (note,))
+    report = StageReport(n, k, 0, None if cert else "absorbing_path", {},
+                         timings, (note,))
     return PipelineResult(cert, report)
 
 

@@ -4,22 +4,19 @@ The auxiliary hypergraph has one edge per (k+1)-clique of the host graph.
 After pruning away every k-tuple lying in too few edges, any maximal tight
 path must be long: the end tuple's surviving extensions all sit inside the
 path, and pruning guarantees there are more than the threshold of them.
-That observation is the whole engine of this module; the cover routine
-just applies it repeatedly to whatever is still uncovered.
+Acceptance criterion 3 checks exactly that on pruned hypergraphs.
 
-Degrees are tabulated from the bit rows (the degree of a k-clique is the
-size of its common neighborhood), so the hypergraph never materializes its
-edge set; only pruned-away edges are stored explicitly.  At the densities
-this package targets, pruning usually removes nothing and the structure
-stays within a dict of k-tuple masks.
+The cover routine does not prune: it grows greedy tight paths through
+every (k+1)-clique of whatever is still uncovered.  A path grows from the
+bit rows alone, so the degree table is listed only when pruning or a
+caller reads it; only pruned-away edges are stored explicitly.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
-from math import ceil
+from typing import Optional
 
 from powerham.errors import InputError, NoCliquesError
 from powerham.graph import (Graph, common_neighborhood_mask, is_clique,
@@ -87,33 +84,39 @@ def _subtuples(emask: int):
 class CliqueHypergraph:
     """(k+1)-clique hypergraph over the live vertices of a host graph."""
 
-    __slots__ = ("g", "k", "live", "degree", "removed")
+    __slots__ = ("g", "k", "live", "removed", "_degree")
 
     def __init__(self, g: Graph, k: int, live: int,
-                 degree: dict[int, int], removed: frozenset[int]):
+                 removed: frozenset[int] = frozenset(),
+                 degree: Optional[dict[int, int]] = None):
         self.g = g
         self.k = k
         self.live = live
-        self.degree = degree  # k-tuple mask -> surviving edge count (> 0 only)
         self.removed = removed  # (k+1)-tuple masks pruned away
+        self._degree = degree
+
+    @property
+    def degree(self) -> dict[int, int]:
+        """k-tuple mask -> alive edge count (> 0 only), listed on first read."""
+        if self._degree is None:
+            self._degree = {}
+            for t in list_cliques(self.g, self.k, within=self.live):
+                tm = mask_of(t)
+                dg = _extensions(self, tm, 0).bit_count()
+                if dg:
+                    self._degree[tm] = dg
+        return self._degree
 
     @property
     def is_empty(self) -> bool:
         return not self.degree
 
-    def has_edge(self, emask: int) -> bool:
-        if emask & ~self.live or emask.bit_count() != self.k + 1:
-            return False
-        return emask not in self.removed and is_clique(self.g, verts_of(emask))
-
     def iter_edges(self):
         """Each surviving edge once (from its subtuple missing the top vertex)."""
-        for tm, _ in self.degree.items():
-            ext = common_neighborhood_mask(self.g, iter_bits(tm)) & self.live
-            for w in iter_bits(ext):
-                b = 1 << w
-                if b > tm and (tm | b) not in self.removed:
-                    yield tm | b
+        for tm in self.degree:
+            for w in iter_bits(_extensions(self, tm, 0)):
+                if (1 << w) > tm:
+                    yield tm | 1 << w
 
     def edge_count(self) -> int:
         return sum(1 for _ in self.iter_edges())
@@ -124,12 +127,7 @@ def build_clique_hypergraph(g: Graph, k: int,
     if k < 1:
         raise InputError("k must be >= 1")
     live = g.full_mask() if within is None else within & g.full_mask()
-    degree: dict[int, int] = {}
-    for t in list_cliques(g, k, within=live):
-        dg = (common_neighborhood_mask(g, t) & live).bit_count()
-        if dg:
-            degree[mask_of(t)] = dg
-    return CliqueHypergraph(g, k, live, degree, frozenset())
+    return CliqueHypergraph(g, k, live)
 
 
 def prune(h: CliqueHypergraph, threshold: int) -> CliqueHypergraph:
@@ -165,70 +163,70 @@ def prune(h: CliqueHypergraph, threshold: int) -> CliqueHypergraph:
                     if dg <= threshold and s not in queued:
                         queued.add(s)
                         work.append(s)
-    return CliqueHypergraph(h.g, h.k, h.live, degree, frozenset(removed))
+    return CliqueHypergraph(h.g, h.k, h.live, frozenset(removed), degree)
 
 
-def _alive_extensions(h: CliqueHypergraph, tmask: int, avoid: int) -> list[int]:
-    avail = common_neighborhood_mask(h.g, iter_bits(tmask)) & h.live & ~avoid
-    if not h.removed:
-        return list(iter_bits(avail))
-    return [w for w in iter_bits(avail) if (tmask | 1 << w) not in h.removed]
+def _extensions(h: CliqueHypergraph, tmask: int, used: int) -> int:
+    """Mask of the unused w whose edge tmask | w is alive in h."""
+    ext = common_neighborhood_mask(h.g, iter_bits(tmask)) & h.live & ~used
+    if h.removed:
+        for w in iter_bits(ext):
+            if (tmask | 1 << w) in h.removed:
+                ext ^= 1 << w
+    return ext
 
 
-def _remaining_degree(h: CliqueHypergraph, tmask: int, used: int) -> int:
-    avail = common_neighborhood_mask(h.g, iter_bits(tmask)) & h.live & ~used
-    if not h.removed:
-        return avail.bit_count()
-    return sum(1 for w in iter_bits(avail) if (tmask | 1 << w) not in h.removed)
+def _start_edge(h: CliqueHypergraph, rng: SplitMix64) -> int:
+    """Exact search for an alive edge, rotating from a random live vertex.
+
+    At each vertex v it tries the k-cliques of v's live neighborhood in
+    list_cliques order; raises NoCliquesError when no edge is alive.
+    """
+    verts = verts_of(h.live)
+    if verts:
+        i = rng.below(len(verts))
+        for v in verts[i:] + verts[:i]:
+            for t in list_cliques(h.g, h.k, within=h.g.adj[v] & h.live):
+                e = mask_of(t) | 1 << v
+                if e not in h.removed:
+                    return e
+    raise NoCliquesError("hypergraph has no edges")
 
 
-def greedy_tight_path(h: CliqueHypergraph, seed: int) -> KPath:
-    """Maximal tight path from a seeded start edge.
+def greedy_tight_path(h: CliqueHypergraph, seed: int,
+                      limit: Optional[int] = None) -> KPath:
+    """Maximal tight path from a seeded start edge, or one of `limit` vertices.
 
     Extends alternately at both ends; among candidate extensions it takes
     the one whose new end tuple keeps the most unused edges (ties to the
-    lowest vertex id).  On return neither end extends to an unused vertex.
+    lowest vertex id).  On return neither end extends to an unused vertex,
+    unless the path stopped at `limit`.
     """
-    if h.is_empty:
-        raise NoCliquesError("hypergraph has no edges")
     k = h.k
-    rng = SplitMix64(seed)
-    tuples = list(h.degree)
-    t = tuples[rng.below(len(tuples))]
-    cands = _alive_extensions(h, t, 0)
-    w = cands[rng.below(len(cands))]
-    seq = deque(verts_of(t | 1 << w))  # ascending start edge
-    used = t | 1 << w
+    if limit is not None and limit < k + 1:
+        raise InputError("limit must be >= k + 1")
+    used = _start_edge(h, SplitMix64(seed))
+    seq = deque(verts_of(used))  # ascending start edge
 
-    dead_right = dead_left = False
-    grow_right = True
-    while not (dead_right and dead_left):
-        if (grow_right and dead_right) or (not grow_right and dead_left):
-            grow_right = not grow_right
-            continue
-        if grow_right:
-            end = list(seq)[-k:]
-            drop = end[0]
-        else:
-            end = list(seq)[:k]
-            drop = end[-1]
-        tm = mask_of(end)
-        cands = _alive_extensions(h, tm, used)
-        if not cands:
-            if grow_right:
-                dead_right = True
+    dead = [False, False]   # left end, right end
+    right = True
+    while not all(dead) and len(seq) != limit:
+        if not dead[right]:
+            end = list(seq)[-k:] if right else list(seq)[:k]
+            tm = mask_of(end)
+            cands = _extensions(h, tm, used)
+            if cands:
+                base = tm ^ (1 << (end[0] if right else end[-1]))
+                best = max(iter_bits(cands), key=lambda v: (
+                    _extensions(h, base | 1 << v, used).bit_count(), -v))
+                if right:
+                    seq.append(best)
+                else:
+                    seq.appendleft(best)
+                used |= 1 << best
             else:
-                dead_left = True
-            grow_right = not grow_right
-            continue
-        base = tm ^ (1 << drop) if k > 1 else 0
-        best = max(cands, key=lambda v: (_remaining_degree(h, base | 1 << v, used), -v))
-        if grow_right:
-            seq.append(best)
-        else:
-            seq.appendleft(best)
-        used |= 1 << best
-        grow_right = not grow_right
+                dead[right] = True
+        right = not right
     return KPath(k, tuple(seq))
 
 
@@ -247,39 +245,36 @@ class PathCover:
                 "leftover": list(self.leftover)}
 
 
-def cover_with_paths(g: Graph, k: int, zeta, excluded, stop_size: int,
+def cover_with_paths(g: Graph, k: int, excluded, stop_size: int,
                      seed: int) -> PathCover:
     """Disjoint tight paths over everything outside `excluded`.
 
-    Loops: rebuild the hypergraph on the still-uncovered vertices, prune at
-    ceil(zeta * live count), extract the best of RESTARTS greedy paths.
-    Stops at stop_size uncovered or when no path can be extracted; the
-    shortfall is visible in the returned leftover, never raised.  The last
-    path is cut so the leftover lands on stop_size rather than under it
-    (a prefix of a tight path is a tight path), callers that route spare
-    vertices through connections rely on that.
+    Loops on the still-uncovered vertices: grow greedy paths capped at the
+    length that would land the leftover on stop_size, keeping the longest
+    of up to RESTARTS and stopping early once one reaches the cap (callers
+    that route spare vertices through connections rely on the leftover not
+    undershooting stop_size).  Stops at stop_size uncovered or when the
+    uncovered set holds no (k+1)-clique; the shortfall is visible in the
+    returned leftover, never raised.
     """
     if stop_size < 0:
         raise InputError("stop_size must be >= 0")
-    zeta = Fraction(zeta)
-    if not 0 <= zeta <= 1:
-        raise InputError("zeta must be in [0, 1]")
     rng = SplitMix64(seed)
     live = g.full_mask() & ~(excluded if isinstance(excluded, int) else mask_of(excluded))
     paths: list[KPath] = []
     while live.bit_count() > stop_size:
-        h = prune(build_clique_hypergraph(g, k, within=live),
-                  ceil(zeta * live.bit_count()))
-        if h.is_empty:
-            break
-        best = None
-        for _ in range(RESTARTS):
-            p = greedy_tight_path(h, rng.next_u64())
-            if best is None or len(p) > len(best):
-                best = p
+        h = build_clique_hypergraph(g, k, within=live)
         keep = max(k + 1, live.bit_count() - stop_size)
-        if len(best) > keep:
-            best = KPath(k, best.vertices[:keep])
+        best = None
+        try:
+            for _ in range(RESTARTS):
+                p = greedy_tight_path(h, rng.next_u64(), limit=keep)
+                if best is None or len(p) > len(best):
+                    best = p
+                if len(best) == keep:
+                    break
+        except NoCliquesError:
+            break
         paths.append(best)
         live &= ~best.mask
     return PathCover(tuple(paths), verts_of(live), stop_size)

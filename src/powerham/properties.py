@@ -158,6 +158,8 @@ def denseness_heuristic(g: Graph, d: Fraction, seed: int = 0,
     from seeded random subsets until the flip-evaluation budget runs out.
     The reported subset's deficit is attained, so rho_star >= reported.
     """
+    if budget < 0:
+        raise InputError("budget must be >= 0")
     d = Fraction(d)
     p, q = d.numerator, d.denominator
     n = g.n
@@ -270,6 +272,8 @@ def inseparable_heuristic(g: Graph, seed: int = 0,
     n = g.n
     if n < 2:
         raise InputError("inseparability needs n >= 2")
+    if budget < 0:
+        raise InputError("budget must be >= 0")
     adj = g.adj
     degs = [row.bit_count() for row in adj]
     full = g.full_mask()

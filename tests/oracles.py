@@ -116,6 +116,13 @@ def oracle_is_kpath(g, vertices, k):
     return True
 
 
+def oracle_connection_count(g, x, y, k, m):
+    """Number of m-tuples w of fresh vertices making x + w + y a k-path."""
+    pool = set(range(g.n)) - set(x) - set(y)
+    return sum(1 for w in permutations(pool, m)
+               if oracle_is_kpath(g, tuple(x) + w + tuple(y), k))
+
+
 def oracle_power_ham_cycle(g, ordering, k):
     """Is `ordering` a k-th power of a Hamiltonian cycle? By definition."""
     n = g.n

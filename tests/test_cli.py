@@ -119,9 +119,14 @@ def test_check_robust_verdict_drives_exit_code(tmp_path, capsys):
     assert code == 1 and out["robust"]["ok"] is False
 
 
-def test_check_requires_a_property(tmp_path):
+def test_check_requires_a_property(tmp_path, capsys):
     path = graph_file(tmp_path, Graph.complete(5))
     assert run(["check", path]) == 2
+    # a negative budget must not print a report of a search that never ran
+    for prop in (["--dense", "1/2"], ["--insep"]):
+        assert run(["check", path, *prop, "--budget", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "budget" in captured.err
 
 
 def test_check_heuristic_budget_runs(tmp_path, capsys):

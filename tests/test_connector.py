@@ -1,18 +1,15 @@
 from fractions import Fraction
-from itertools import permutations
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powerham.connector import (ConnectRequest, connect,
-                                enumerate_connections)
-from powerham.errors import InputError, SizeError
+from powerham.connector import ConnectRequest, connect
+from powerham.errors import InputError
 from powerham.generators import gnp
 from powerham.graph import Graph, list_cliques, mask_of
 from powerham.pathcover import is_valid_kpath
 
-from oracles import oracle_is_kpath
+from oracles import oracle_connection_count, oracle_is_kpath
 
 
 def two_disjoint_cliques(g, k):
@@ -93,8 +90,7 @@ def test_connect_minimality():
     assert p is not None
     m = len(p) - 4
     for smaller in range(m):
-        assert enumerate_connections(
-            g, ConnectRequest(x, y, k=2, max_inner=4), smaller) == 0
+        assert oracle_connection_count(g, x, y, 2, smaller) == 0
 
 
 def test_connect_budget_exhaustion():
@@ -130,39 +126,6 @@ def test_connect_determinism():
 
 # --------------------------------------------------------------- counting
 
-def test_enumerate_k6_single_end_vertices():
-    g = Graph.complete(6)
-    req = ConnectRequest((0,), (1,), k=1, max_inner=1)
-    assert enumerate_connections(g, req, 1) == 4
-
-
-def test_enumerate_k6_pairs():
-    g = Graph.complete(6)
-    req = ConnectRequest((0, 1), (2, 3), k=2, max_inner=1)
-    assert enumerate_connections(g, req, 1) == 2  # inner vertex 4 or 5
-
-
-def test_enumerate_matches_brute_force():
-    g = gnp(16, Fraction(4, 5), 2)
-    x, y = two_disjoint_cliques(g, 2)
-    req = ConnectRequest(x, y, k=2, max_inner=2)
-    got = enumerate_connections(g, req, 2)
-    ends = set(x) | set(y)
-    brute = sum(
-        1 for w in permutations(set(range(16)) - ends, 2)
-        if oracle_is_kpath(g, x + w + y, 2))
-    assert got == brute
-
-
-def test_enumerate_size_caps():
-    g = Graph.complete(31)
-    with pytest.raises(SizeError):
-        enumerate_connections(g, ConnectRequest((0, 1), (2, 3), 2, 2), 2)
-    with pytest.raises(SizeError):
-        enumerate_connections(Graph.complete(8),
-                              ConnectRequest((0, 1), (2, 3), 2, 7), 7)
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2 ** 32), st.integers(8, 14))
 def test_connect_complete_up_to_enumeration(seed, n):
@@ -173,7 +136,7 @@ def test_connect_complete_up_to_enumeration(seed, n):
     x, y = got
     req = ConnectRequest(x, y, k=2, max_inner=4, seed=seed)
     p = connect(g, req)
-    counts = [enumerate_connections(g, req, m) for m in range(5)]
+    counts = [oracle_connection_count(g, x, y, 2, m) for m in range(5)]
     if p is None:
         assert all(c == 0 for c in counts)
     else:

@@ -23,12 +23,6 @@ from powerham.hamiltonian import (STAGES, Certificate, PipelineConfig,
 from oracles import oracle_power_ham_cycle
 
 
-def two_cliques(size):
-    edges = [(a, b) for a, b in combinations(range(size), 2)]
-    edges += [(a + size, b + size) for a, b in combinations(range(size), 2)]
-    return Graph.from_edges(2 * size, edges)
-
-
 # ---------------------------------------------------------- canonical form
 
 def test_canonicalize_starts_at_zero_and_prefers_smaller_direction():
@@ -254,7 +248,7 @@ def test_report_json_shape():
     g = Graph.complete(20)
     res = find_hamiltonian_power(g, PipelineConfig(k=1, seed=3))
     d = res.report.to_json_dict()
-    assert d["n"] == 20 and d["k"] == 1 and d["mode"] == "practical"
+    assert d["n"] == 20 and d["k"] == 1 and "mode" not in d
     assert set(d["stages"]) >= {"absorbing_path", "reservoir", "cover",
                                 "connect", "absorb"}
     assert "timings" not in d
@@ -294,33 +288,9 @@ def test_config_validation():
         PipelineConfig(k=2, reservoir_fraction=Fraction(3, 2))
     with pytest.raises(InputError):
         PipelineConfig(k=2, retries=-1)
-    with pytest.raises(InputError):
-        PipelineConfig(k=2, mode="exact")
     cfg = PipelineConfig(k=2, zeta="1/30", stop_fraction="1/8")
     assert cfg.zeta == Fraction(1, 30)
     assert cfg.stop_fraction == Fraction(1, 8)
-
-
-# --------------------------------------------------------- exact constants
-
-def test_paper_constants_mode_refuses_small_n_with_reasons():
-    g = gnp(40, Fraction(3, 4), 0)
-    res = find_hamiltonian_power(
-        g, PipelineConfig(k=2, seed=0, mode="paper_constants"))
-    assert not res.ok and res.certificate is None
-    assert res.report.failed_stage == "feasibility"
-    feas = res.report.stages["feasibility"]
-    assert feas["ok"] is False and feas["reasons"]
-    assert "constants" in res.report.stages
-    assert any(note.startswith("refused") for note in res.report.notes)
-
-
-def test_paper_constants_mode_refuses_separable_graphs():
-    res = find_hamiltonian_power(
-        two_cliques(4), PipelineConfig(k=1, seed=0, mode="paper_constants"))
-    assert not res.ok
-    assert res.report.failed_stage == "feasibility"
-    assert any("mu = 0" in note for note in res.report.notes)
 
 
 # ------------------------------------------------------------ hitting sets

@@ -15,7 +15,7 @@ from powerham.pathcover import (CliqueHypergraph, KPath,
                                 greedy_tight_path, is_valid_kpath, prune,
                                 _subtuples)
 
-from oracles import oracle_is_kpath
+from oracles import oracle_cliques, oracle_is_kpath
 
 
 def brute_edges(g, k, live=None):
@@ -83,7 +83,7 @@ def test_prune_triangle_plus_k6():
     g = Graph.from_edges(9, edges)
     p = prune(build_clique_hypergraph(g, 2), 1)
     assert p.edge_count() == 20  # C(6,3) survive
-    assert not p.has_edge(mask_of((0, 1, 2)))
+    assert mask_of((0, 1, 2)) not in set(p.iter_edges())
     assert all(dg == 4 for dg in p.degree.values())
 
 
@@ -161,20 +161,20 @@ def test_greedy_k1_path():
 # ------------------------------------------------------------------ covers
 
 def test_cover_complete_graph():
-    pc = cover_with_paths(Graph.complete(30), 2, Fraction(1, 10), (), 0, 7)
+    pc = cover_with_paths(Graph.complete(30), 2, (), 0, 7)
     assert len(pc.paths) == 1 and len(pc.paths[0]) == 30
     assert pc.leftover == () and pc.reached_stop
 
 
 def test_cover_no_cliques():
-    pc = cover_with_paths(Graph.cycle(5), 2, Fraction(1, 10), (), 0, 7)
+    pc = cover_with_paths(Graph.cycle(5), 2, (), 0, 7)
     assert pc.paths == () and pc.leftover == (0, 1, 2, 3, 4)
     assert not pc.reached_stop
 
 
 def test_cover_gnp_fixture():
     g = gnp(60, Fraction(7, 10), 12)
-    pc = cover_with_paths(g, 2, Fraction(1, 10), (), 6, 3)
+    pc = cover_with_paths(g, 2, (), 6, 3)
     assert len(pc.leftover) <= 6 and pc.reached_stop
     seen = set()
     for p in pc.paths:
@@ -186,26 +186,52 @@ def test_cover_gnp_fixture():
 
 def test_cover_respects_excluded():
     g = Graph.complete(20)
-    pc = cover_with_paths(g, 2, Fraction(1, 10), range(10), 0, 1)
+    pc = cover_with_paths(g, 2, range(10), 0, 1)
     assert all(v >= 10 for p in pc.paths for v in p.vertices)
     assert pc.leftover == ()
 
 
-def test_cover_first_path_tuples_connectable():
-    g = gnp(40, Fraction(4, 5), 11)
-    zeta = Fraction(1, 10)
-    pc = cover_with_paths(g, 2, zeta, (), 39, 5)  # one round only
-    p = pc.paths[0]
-    for i in range(len(p) - 1):
-        cn = common_neighborhood_mask(g, p.vertices[i:i + 2])
-        assert cn.bit_count() >= ceil(zeta * 40)
-
-
 def test_cover_determinism():
     g = gnp(30, Fraction(3, 4), 2)
-    a = cover_with_paths(g, 2, Fraction(1, 10), (), 3, 42)
-    b = cover_with_paths(g, 2, Fraction(1, 10), (), 3, 42)
+    a = cover_with_paths(g, 2, (), 3, 42)
+    b = cover_with_paths(g, 2, (), 3, 42)
     assert a == b
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(2, 12), st.integers(1, 3),
+       st.sampled_from((Fraction(1, 2), Fraction(3, 4), Fraction(9, 10))),
+       st.integers(0, 2 ** 12 - 1), st.integers(0, 12), st.integers(0, 12))
+def test_cover_partitions_live_set_and_exhausts_cliques(seed, n, k, p,
+                                                        excluded, stop_size,
+                                                        extra):
+    g = gnp(n, p, seed)
+    live = set(verts_of(g.full_mask() & ~excluded))
+    pc = cover_with_paths(g, k, excluded, stop_size, seed)
+    seen = set()
+    for path in pc.paths:
+        assert oracle_is_kpath(g, path.vertices, k)
+        assert set(path.vertices) <= live and not seen & set(path.vertices)
+        seen |= set(path.vertices)
+    assert not seen & set(pc.leftover)
+    assert seen | set(pc.leftover) == live
+    if not pc.reached_stop:
+        assert oracle_cliques(g, k + 1, within=pc.leftover) == []
+
+    h = build_clique_hypergraph(g, k, within=mask_of(live))
+    limit = k + 1 + extra
+    if oracle_cliques(g, k + 1, within=live):
+        path = greedy_tight_path(h, seed, limit=limit)
+        assert len(path) <= limit and set(path.vertices) <= live
+        assert oracle_is_kpath(g, path.vertices, k)
+    else:
+        with pytest.raises(NoCliquesError):
+            greedy_tight_path(h, seed, limit=limit)
+
+
+def test_greedy_limit_below_an_edge_is_refused():
+    with pytest.raises(InputError):
+        greedy_tight_path(build_clique_hypergraph(Graph.complete(6), 2), 0, 2)
 
 
 # ------------------------------------------------------------------ shapes
@@ -227,7 +253,7 @@ def test_kpath_ends():
 
 
 def test_cover_json_shape():
-    pc = cover_with_paths(Graph.complete(6), 2, Fraction(1, 10), (), 0, 1)
+    pc = cover_with_paths(Graph.complete(6), 2, (), 0, 1)
     d = pc.to_json_dict()
     assert sorted(d) == ["leftover", "paths"]
     assert sorted(d["paths"][0]) == list(range(6))
