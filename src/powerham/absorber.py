@@ -10,7 +10,8 @@ The module covers the full lifecycle: sample a pairwise disjoint family
 with per-vertex rate limiting, growing each candidate lazily inside the
 running common neighbourhood only when an admission turn needs one, join
 the family into one absorbing path, and finally absorb a set of leftover
-vertices by matching them to segments.
+vertices by matching them to segments.  A family short of its target is
+returned as sampled; no second pass tops it up.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from typing import Iterable
 
 from .connector import ConnectRequest, connect
 from .errors import AssemblyError, CapacityError, InputError
-from .graph import (Graph, common_neighborhood_mask, list_cliques, mask_of,
-                    verts_of)
+from .graph import Graph, mask_of, verts_of
+# unused here, but perfbench/spans.py traces clique listing at this binding
+from .graph import list_cliques  # noqa: F401
 from .pathcover import KPath, is_valid_kpath
 from .properties import is_connectable
 from .rng import DEFAULT_SEED, SplitMix64
@@ -102,7 +104,7 @@ class FamilyStats:
 
     draws: int            # grow attempts in the admission rounds
     sampled: int          # grown absorbers that survived the coin flip
-    members: int          # sampled plus the rescue pass's members
+    members: int          # equals sampled; perfbench/spans.py reads both
     coverage_min: int     # per-vertex usable members
     coverage_mean: float
 
@@ -141,7 +143,8 @@ def sample_family(g: Graph, k: int, zeta: Fraction, p: Fraction, seed: int = DEF
     halves are connectable and that survives a coin flip of rate p joins.
     A vertex that grows nothing in its turn, or owns ``per_vertex_cap``
     members, leaves the rotation; rounds end when one admits nothing or
-    the family holds ``max_members``.
+    the family holds ``max_members``.  A family that falls short of
+    ``max_members`` is returned as it stands; no rescue pass tops it up.
     """
     p = Fraction(p)
     if not 0 < p <= 1:
@@ -181,44 +184,13 @@ def sample_family(g: Graph, k: int, zeta: Fraction, p: Fraction, seed: int = DEF
             if grew and owned[v] < per_vertex_cap:
                 stay.append(v)
         rotation = stay if len(members) > before else []
-    sampled = len(members)
-
-    # rescue pass: random growth thins out badly once the admitted members
-    # blanket the dense core, so an undershot family is topped up by direct
-    # enumeration among vertices no member has claimed yet
-    if max_members is not None and len(members) < max_members:
-        order = list(range(g.n))
-        rng.shuffle(order)
-        for v in order:
-            if len(members) >= max_members:
-                break
-            if owned[v] >= per_vertex_cap:
-                continue
-            within = g.adj[v] & ~used & ~(1 << v)
-            if within.bit_count() < 2 * k:
-                continue
-            # unclaimed vertices sit on the sparse fringe, so rank their
-            # cliques by common neighborhood size: a segment only ever
-            # absorbs vertices adjacent to all 2k of its members
-            best = None
-            for cl in list_cliques(g, 2 * k, within=within):
-                score = common_neighborhood_mask(g, cl).bit_count()
-                if best is not None and score <= best[0]:
-                    continue
-                split = _split(g, cl, threshold)
-                if split is not None:
-                    best = (score, split)
-            if best is not None:
-                members.append(VAbsorber(v, best[1]))
-                owned[v] += 1
-                used |= mask_of(best[1])
 
     # a segment absorbs w exactly when w is adjacent to all 2k of its vertices
     masks = [ab.mask for ab in members]
     coverage = [sum(g.adj[w] & m == m for m in masks) for w in range(g.n)]
     stats = FamilyStats(
         draws=draws,
-        sampled=sampled,
+        sampled=len(members),
         members=len(members),
         coverage_min=min(coverage) if coverage else 0,
         coverage_mean=sum(coverage) / len(coverage) if coverage else 0.0,
@@ -281,7 +253,8 @@ def build_absorbing_path(g: Graph, k: int, zeta: Fraction,
     join connects the y-half of the previous segment to the x-half of the
     next one.  Everything already placed plus every not-yet-placed segment
     is forbidden as connector interior, so segments stay contiguous.
-    Raises AssemblyError naming the failing pair when a join cannot be made.
+    Each join is one ``connect`` call, with no retry: AssemblyError, naming
+    the failing pair, is raised as soon as one call finds no connection.
     """
     if not family:
         raise InputError("cannot assemble an empty family")
@@ -301,16 +274,10 @@ def build_absorbing_path(g: Graph, k: int, zeta: Fraction,
         # nxt's y-half stays off limits: contiguity, and it follows immediately
         allowed = g.full_mask() & ~(placed_mask | pending_mask)
         pending_mask &= ~nxt.mask
-        attempts = 1 if node_budget is None else 3
-        piece = None
-        for _ in range(attempts):
-            req = ConnectRequest(x_end=prev.y_half, y_end=nxt.x_half, k=k,
-                                 max_inner=max_inner,
-                                 allowed_inner=allowed,
-                                 seed=rng.next_u64(), node_budget=node_budget)
-            piece = connect(g, req)
-            if piece is not None:
-                break
+        req = ConnectRequest(x_end=prev.y_half, y_end=nxt.x_half, k=k,
+                             max_inner=max_inner, allowed_inner=allowed,
+                             seed=rng.next_u64(), node_budget=node_budget)
+        piece = connect(g, req)
         if piece is None:
             raise AssemblyError(
                 f"cannot join the segment for vertex {prev.v} "

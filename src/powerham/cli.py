@@ -19,13 +19,14 @@ import csv
 import json
 import os
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from itertools import product
 
 from .constants import connector_constants, main_constants
 from .errors import InputError, PowerhamError, SizeError
 from .generators import GenSpec, generate
-from .graph import from_text, to_text
+from .graph import check_vertex_count, from_text, to_text
 from .hamiltonian import (STAGES, Certificate, PipelineConfig,
                           brute_force_oracle, find_hamiltonian_power,
                           find_with_hitting_sets, verify)
@@ -84,6 +85,16 @@ def _read_text(path: str) -> str:
         raise InputError(f"cannot read '{path}': {e}")
 
 
+def _open_output(path: str):
+    """Open a file to write ("-" is stdout); failing to is a usage error."""
+    if path == "-":
+        return nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as e:
+        raise InputError(f"cannot write '{path}': {e}")
+
+
 def _read_graph(path: str):
     return from_text(_read_text(path))
 
@@ -114,15 +125,18 @@ def _cmd_generate(args) -> int:
     if fam in ("gnp", "random_bipartite"):
         if args.n is None or args.p is None:
             raise InputError(f"family '{fam}' needs --n and --p")
+        check_vertex_count(args.n)
         spec = GenSpec(fam, {"n": args.n, "p": str(_rational(args.p))}, seed)
     elif fam == "multipartite":
         if not args.parts:
             raise InputError("family 'multipartite' needs --parts")
         parts = [_int(x) for x in args.parts.split(",") if x]
+        check_vertex_count(sum(parts))
         spec = GenSpec(fam, {"parts": parts})
     elif fam in ("two_cliques", "clique_complement"):
         if args.n is None or args.mu is None:
             raise InputError(f"family '{fam}' needs --n and --mu")
+        check_vertex_count(args.n)
         spec = GenSpec(fam, {"n": args.n, "mu": str(_rational(args.mu))})
     else:
         raise InputError(f"unknown family '{fam}'")
@@ -133,9 +147,9 @@ def _cmd_generate(args) -> int:
         sys.stdout.write(text)
         print(spec.to_json(), file=sys.stderr)
     else:
-        with open(args.output, "w", encoding="utf-8") as fh:
+        with _open_output(args.output) as fh:
             fh.write(text)
-        with open(args.output + ".json", "w", encoding="utf-8") as fh:
+        with _open_output(args.output + ".json") as fh:
             fh.write(spec.to_json() + "\n")
     return 0
 
@@ -190,17 +204,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_find(args) -> int:
     g = _read_graph(args.input)
-    kwargs: dict = {"k": args.k}
-    if args.zeta is not None:
-        kwargs["zeta"] = _rational(args.zeta)
-    if args.reservoir is not None:
-        kwargs["reservoir_fraction"] = _rational(args.reservoir)
-    if args.stop is not None:
-        kwargs["stop_fraction"] = _rational(args.stop)
-    if args.retries is not None:
-        kwargs["retries"] = args.retries
-    kwargs["seed"] = args.seed if args.seed is not None else _default_seed()
-    cfg = PipelineConfig(**kwargs)
+    seed = args.seed if args.seed is not None else _default_seed()
+    cfg = PipelineConfig(k=args.k, retries=args.retries, seed=seed)
 
     tallies = None
     if args.hitting_sets is not None:
@@ -344,8 +349,11 @@ def _parse_sweep(spec: str) -> tuple[list[int], list[Fraction], list[int], int]:
         raise InputError(f"sweep spec is missing {sorted(missing)}; "
                          "expected 'n=..;p=..;k=..;seeds=N'")
     ns = [_int(x) for x in fields["n"].split(",")]
+    check_vertex_count(max(ns))
     ks = [_int(x) for x in fields["k"].split(",")]
     ps = [_rational(x) for x in fields.get("p", "3/4").split(",")]
+    if min(ns) < 2 or min(ks) < 1 or not all(0 <= p <= 1 for p in ps):
+        raise InputError("sweep needs n >= 2, k >= 1 and p in [0, 1]")
     seeds = _int(fields["seeds"])
     if seeds < 1:
         raise InputError("sweep needs at least one seed")
@@ -355,36 +363,28 @@ def _parse_sweep(spec: str) -> tuple[list[int], list[Fraction], list[int], int]:
 def _cmd_bench(args) -> int:
     from .generators import gnp
     ns, ps, ks, seeds = _parse_sweep(args.sweep)
-    rows = []
-    for n, p, k in product(ns, ps, ks):
-        wins = 0
-        for seed in range(seeds):
-            g = gnp(n, p, seed)
-            res = find_hamiltonian_power(g, PipelineConfig(k=k, seed=seed))
-            timings = res.report.timings
-            row = {"n": n, "p": str(p), "k": k, "seed": seed,
-                   "success": int(res.ok),
-                   "stage": res.report.failed_stage or "",
-                   "attempts": res.report.attempts}
-            for name in TIMED:
-                row[f"t_{name}"] = f"{timings.get(name, 0.0):.6f}"
-            row["t_total"] = f"{sum(timings.values()):.6f}"
-            rows.append(row)
-            wins += res.ok
-        print(f"cell n={n} p={p} k={k}: {wins}/{seeds}", file=sys.stderr)
-
     header = ["n", "p", "k", "seed", "success", "stage", "attempts"]
     header += [f"t_{name}" for name in TIMED] + ["t_total"]
-    out = sys.stdout if args.out == "-" else open(args.out, "w",
-                                                  encoding="utf-8",
-                                                  newline="")
-    try:
+    # opened before the first find, so a bad path costs no sweep
+    with _open_output(args.out) as out:
         writer = csv.DictWriter(out, fieldnames=header)
         writer.writeheader()
-        writer.writerows(rows)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+        for n, p, k in product(ns, ps, ks):
+            wins = 0
+            for seed in range(seeds):
+                g = gnp(n, p, seed)
+                res = find_hamiltonian_power(g, PipelineConfig(k=k, seed=seed))
+                timings = res.report.timings
+                row = {"n": n, "p": str(p), "k": k, "seed": seed,
+                       "success": int(res.ok),
+                       "stage": res.report.failed_stage or "",
+                       "attempts": res.report.attempts}
+                for name in TIMED:
+                    row[f"t_{name}"] = f"{timings.get(name, 0.0):.6f}"
+                row["t_total"] = f"{sum(timings.values()):.6f}"
+                writer.writerow(row)
+                wins += res.ok
+            print(f"cell n={n} p={p} k={k}: {wins}/{seeds}", file=sys.stderr)
     return 0
 
 
@@ -425,10 +425,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("find", help="run the staged pipeline search")
     p.add_argument("input", nargs="?", default="-")
     p.add_argument("-k", type=int, required=True)
-    p.add_argument("--zeta")
-    p.add_argument("--reservoir")
-    p.add_argument("--stop")
-    p.add_argument("--retries", type=int)
+    p.add_argument("--retries", type=int, default=PipelineConfig.retries)
     p.add_argument("--seed", type=int)
     p.add_argument("--hitting-sets", metavar="FILE")
     p.add_argument("--json", action="store_true")

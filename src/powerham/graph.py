@@ -32,6 +32,9 @@ from typing import Iterable, Iterator
 
 from powerham.errors import InputError
 
+# the largest graph any input may declare; checked before rows are allocated
+MAX_VERTICES = 1 << 16
+
 
 def mask_of(verts: Iterable[int]) -> int:
     m = 0
@@ -245,6 +248,12 @@ def _ints(fields: list[str], lineno: int) -> tuple[int, ...]:
         raise InputError(f"line {lineno}: not an integer in {fields}")
 
 
+def check_vertex_count(n: int) -> None:
+    """Refuse a vertex count above MAX_VERTICES before anything is built."""
+    if n > MAX_VERTICES:
+        raise InputError(f"{n} vertices exceed the cap of {MAX_VERTICES}")
+
+
 def from_text(text: str) -> Graph:
     n = None
     declared = None
@@ -260,6 +269,7 @@ def from_text(text: str) -> Graph:
             if len(parts) != 3:
                 raise InputError(f"line {lineno}: header must be 'p <n> <m>'")
             n, declared = _ints(parts[1:], lineno)
+            check_vertex_count(n)
         elif parts[0] == "e":
             if n is None:
                 raise InputError(f"line {lineno}: edge before header")

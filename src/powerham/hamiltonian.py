@@ -34,33 +34,26 @@ MAX_INNER_CAP = 24
 # node budgets keep the exact searches from stalling on adversarial pools
 ASSEMBLY_NODE_BUDGET = 100_000
 CONNECT_NODE_BUDGET = 200_000
+# a connectable k-tuple has at least ceil(ZETA * n) common neighbours
+ZETA = Fraction(1, 25)
+# each vertex off the absorbing path joins the reservoir at this rate
+RESERVOIR_FRACTION = Fraction(1, 10)
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Knobs for one pipeline run; frozen so reports can reference it."""
+    """Power k, retry count and seed of one run; frozen for its report.
+
+    The rest is fixed: ZETA, RESERVOIR_FRACTION, and a cover that stops
+    at half the absorbing capacity (at least 1 vertex).
+    """
     k: int
-    zeta: Fraction = Fraction(1, 25)
-    reservoir_fraction: Fraction = Fraction(1, 10)
-    stop_fraction: Optional[Fraction] = None
     retries: int = 9
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         if self.k < 1:
             raise InputError("k must be >= 1")
-        object.__setattr__(self, "zeta", Fraction(self.zeta))
-        object.__setattr__(self, "reservoir_fraction",
-                           Fraction(self.reservoir_fraction))
-        if not 0 < self.zeta < 1:
-            raise InputError("zeta must lie in (0, 1)")
-        if not 0 < self.reservoir_fraction < 1:
-            raise InputError("reservoir_fraction must lie in (0, 1)")
-        if self.stop_fraction is not None:
-            object.__setattr__(self, "stop_fraction",
-                               Fraction(self.stop_fraction))
-            if not 0 < self.stop_fraction < 1:
-                raise InputError("stop_fraction must lie in (0, 1)")
         if self.retries < 0:
             raise InputError("retries must be >= 0")
 
@@ -387,7 +380,7 @@ def _attempt(g: Graph, cfg: PipelineConfig, seed: int, max_inner: int,
 
     Each stage's wall time is added to ``timings`` under its name.
     """
-    n, k, zeta = g.n, cfg.k, cfg.zeta
+    n, k = g.n, cfg.k
     stages: dict = {}
     srng = SplitMix64(seed)
     s_family = srng.next_u64()
@@ -399,13 +392,13 @@ def _attempt(g: Graph, cfg: PipelineConfig, seed: int, max_inner: int,
 
     # -- stage 1: absorbing path
     with _timed(timings, "absorbing_path"):
-        family, _stats = sample_family(g, k, zeta, Fraction(1), seed=s_family,
+        family, _stats = sample_family(g, k, ZETA, Fraction(1), seed=s_family,
                                        max_members=_family_target(n, k))
         stages["absorbing_path"] = {"members": len(family), "seed": s_family}
         if len(family) < 2:
             raise _StageFailure("absorbing_path", stages)
         try:
-            pa = build_absorbing_path(g, k, zeta, family, seed=s_build,
+            pa = build_absorbing_path(g, k, ZETA, family, seed=s_build,
                                       node_budget=ASSEMBLY_NODE_BUDGET)
             head = pa.path
             if hitting is not None:
@@ -421,10 +414,6 @@ def _attempt(g: Graph, cfg: PipelineConfig, seed: int, max_inner: int,
         # so the connection search is told to spend them first
         incompat = mask_of(v for v in verts_of(g.full_mask() & ~head.mask)
                            if not pa.hosts(g, v))
-    if cfg.stop_fraction is not None:
-        stop_size = int(cfg.stop_fraction * n)
-    else:
-        stop_size = max(1, capacity // 2)
 
     # -- stages 2-5, with one reservoir resample allowed: when the cycle
     # cannot be closed or a straggler cannot be absorbed, a fresh reservoir
@@ -441,7 +430,7 @@ def _attempt(g: Graph, cfg: PipelineConfig, seed: int, max_inner: int,
             rrng = SplitMix64(round_seed)
             reservoir = 0
             for v in verts_of(g.full_mask() & ~head.mask):
-                if rrng.chance(cfg.reservoir_fraction):
+                if rrng.chance(RESERVOIR_FRACTION):
                     reservoir |= 1 << v
             stages["reservoir"] = {"size": reservoir.bit_count(),
                                    "rounds": rnd + 1, "seed": round_seed}
@@ -453,7 +442,7 @@ def _attempt(g: Graph, cfg: PipelineConfig, seed: int, max_inner: int,
             # second round it runs anyway if unhostable vertices are
             # present, since a path can carry them where a route could not
             live = g.full_mask() & ~(head.mask | reservoir)
-            round_stop = stop_size
+            round_stop = max(1, capacity // 2)
             if live.bit_count() <= min(max_inner, capacity):
                 if rnd == 0 or not live & incompat:
                     round_stop = live.bit_count()
@@ -599,7 +588,7 @@ def find_with_hitting_sets(g: Graph, cfg: PipelineConfig,
             raise InputError(f"set {i} leaves the vertex range")
         if len(s) < 2 * k:
             raise InputError(f"set {i} is smaller than 2k")
-    threshold = ceil(cfg.zeta * g.n)
+    threshold = ceil(ZETA * g.n)
     hitting: list[list[tuple[int, ...]]] = []
     for i, s in enumerate(sets):
         cands = [cl for cl in list_cliques(g, k, within=mask_of(s))

@@ -10,7 +10,7 @@ import pytest
 import powerham
 from powerham.cli import run
 from powerham.generators import gnp, two_overlapping_cliques
-from powerham.graph import Graph, to_text
+from powerham.graph import MAX_VERTICES, Graph, to_text
 
 from oracles import oracle_power_ham_cycle
 
@@ -208,13 +208,16 @@ def test_find_json_output_is_byte_stable(tmp_path, capsys):
 
 
 def test_find_flag_overrides_reach_the_config(tmp_path, capsys):
-    path = graph_file(tmp_path, gnp(40, Fraction(3, 4), 2))
-    code, out = run_json(capsys, ["find", path, "-k", "1", "--seed", "2",
-                                  "--retries", "0", "--zeta", "1/30",
-                                  "--reservoir", "1/8", "--stop", "1/10",
-                                  "--json"])
-    assert code == 0
-    assert out["report"]["stages"]["cover"]["stop_size"] <= 4
+    path = graph_file(tmp_path, Graph.cycle(12))     # fails every attempt
+    for retries in (0, 2):
+        code, out = run_json(capsys, ["find", path, "-k", "2", "--seed", "2",
+                                      "--retries", str(retries), "--json"])
+        assert code == 1
+        assert out["report"]["attempts"] == retries + 1
+    # the connectability threshold, reservoir rate and stop size are
+    # constants of the pipeline, not flags
+    for flag in ("--zeta", "--reservoir", "--stop"):
+        assert run(["find", path, "-k", "2", flag, "1/10"]) == 2
 
 
 def test_find_with_hitting_sets_reports_tallies(tmp_path, capsys):
@@ -385,6 +388,52 @@ def test_bench_sweep_grammar_errors():
     assert run(["bench", "--sweep", "garbage", "--out", "-"]) == 2
     assert run(["bench", "--sweep", "n=20;k=1;seeds=0", "--out", "-"]) == 2
     assert run(["bench", "--sweep", "n=a;k=1;seeds=1", "--out", "-"]) == 2
+
+
+def test_unwritable_output_is_usage_error(tmp_path, capsys):
+    missing = tmp_path / "no" / "such" / "dir"
+    assert run(["bench", "--sweep", "n=12;k=1;seeds=1",
+                "--out", str(missing / "x.csv")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write")
+    assert not any(line.startswith("cell") for line in err)
+    assert run(["generate", "--family", "gnp", "--n", "12", "--p", "1/2",
+                "-o", str(missing / "g.txt")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write")
+
+
+# ------------------------------------------------------------ vertex cap
+
+def test_graph_file_above_vertex_cap_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text(f"p {MAX_VERTICES + 1} 0\n")
+    assert run(["find", str(path), "-k", "1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_generate_above_vertex_cap_is_usage_error(capsys):
+    too_many = str(MAX_VERTICES + 1)
+    half = str(MAX_VERTICES // 2 + 1)
+    for argv in (["--family", "gnp", "--n", too_many, "--p", "1/2"],
+                 ["--family", "clique_complement", "--n", too_many,
+                  "--mu", "1/2"],
+                 ["--family", "multipartite", "--parts", f"{half},{half}"]):
+        assert run(["generate"] + argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "exceed the cap" in err[0]
+
+
+@pytest.mark.parametrize("cells", [f"n=12,{MAX_VERTICES + 1};k=1",
+                                   "n=1;k=1", "n=12;k=0", "n=12;p=3/2;k=1"])
+def test_bench_refuses_bad_cells_before_opening_out(tmp_path, capsys, cells):
+    out = tmp_path / "sweep.csv"
+    assert run(["bench", "--sweep", f"{cells};seeds=1",
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------- misc

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powerham.errors import InputError
-from powerham.graph import (Graph, common_neighborhood_mask, count_cliques,
-                            count_ordered_cliques, edges_between, from_text,
-                            is_clique, iter_bits, list_cliques, mask_of,
-                            to_text, verts_of)
+from powerham.graph import (MAX_VERTICES, Graph, common_neighborhood_mask,
+                            count_cliques, count_ordered_cliques,
+                            edges_between, from_text, is_clique, iter_bits,
+                            list_cliques, mask_of, to_text, verts_of)
 from powerham import generators
 
 import oracles
@@ -178,3 +178,14 @@ def test_text_format_parses_comments_and_rejects_garbage():
         from_text("p x 1\n")  # non-integer field
     with pytest.raises(InputError):
         from_text("p 2 1\ne 0 y\n")
+
+
+@pytest.mark.parametrize("n", [100_000, 3_000_000, 10_000_000_000])
+def test_text_header_above_vertex_cap_is_refused(n):
+    # refused at the header: the rows are never allocated
+    with pytest.raises(InputError, match="exceed the cap"):
+        from_text(f"p {n} 0\n")
+
+
+def test_text_header_at_vertex_cap_parses():
+    assert from_text(f"p {MAX_VERTICES} 0\n").n == MAX_VERTICES

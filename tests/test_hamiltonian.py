@@ -283,14 +283,7 @@ def test_config_validation():
     with pytest.raises(InputError):
         PipelineConfig(k=0)
     with pytest.raises(InputError):
-        PipelineConfig(k=2, zeta=Fraction(1, 1))
-    with pytest.raises(InputError):
-        PipelineConfig(k=2, reservoir_fraction=Fraction(3, 2))
-    with pytest.raises(InputError):
         PipelineConfig(k=2, retries=-1)
-    cfg = PipelineConfig(k=2, zeta="1/30", stop_fraction="1/8")
-    assert cfg.zeta == Fraction(1, 30)
-    assert cfg.stop_fraction == Fraction(1, 8)
 
 
 # ------------------------------------------------------------ hitting sets
