@@ -25,7 +25,7 @@ from typing import Iterable
 
 from .connector import ConnectRequest, connect
 from .errors import AssemblyError, CapacityError, InputError
-from .graph import Graph, mask_of, verts_of
+from .graph import Graph, common_neighborhood_mask, mask_of, nth_bit
 # unused here, but perfbench/spans.py traces clique listing at this binding
 from .graph import list_cliques  # noqa: F401
 from .pathcover import KPath, is_valid_kpath
@@ -122,8 +122,7 @@ def _grow(g: Graph, v: int, k: int, used: int, threshold: int,
     for _ in range(2 * k):
         if not pool:
             return None
-        cands = verts_of(pool)
-        u = cands[rng.below(len(cands))]
+        u = nth_bit(pool, rng.below(pool.bit_count()))
         picked.append(u)
         pool &= g.adj[u]
     return _split(g, tuple(sorted(picked)), threshold)
@@ -145,6 +144,8 @@ def sample_family(g: Graph, k: int, zeta: Fraction, p: Fraction, seed: int = DEF
     members, leaves the rotation; rounds end when one admits nothing or
     the family holds ``max_members``.  A family that falls short of
     ``max_members`` is returned as it stands; no rescue pass tops it up.
+    Coverage of w, the members whose 2k vertices w all sees, is tallied by
+    adding each member's common neighbourhood into bit planes.
     """
     p = Fraction(p)
     if not 0 < p <= 1:
@@ -186,16 +187,30 @@ def sample_family(g: Graph, k: int, zeta: Fraction, p: Fraction, seed: int = DEF
         rotation = stay if len(members) > before else []
 
     # a segment absorbs w exactly when w is adjacent to all 2k of its vertices
-    masks = [ab.mask for ab in members]
-    coverage = [sum(g.adj[w] & m == m for m in masks) for w in range(g.n)]
+    hosts = [common_neighborhood_mask(g, ab.clique) for ab in members]
     stats = FamilyStats(
         draws=draws,
         sampled=len(members),
         members=len(members),
-        coverage_min=min(coverage) if coverage else 0,
-        coverage_mean=sum(coverage) / len(coverage) if coverage else 0.0,
+        coverage_min=_min_count(hosts, g.full_mask()),
+        coverage_mean=sum(h.bit_count() for h in hosts) / g.n,
     )
     return tuple(members), stats
+
+
+def _min_count(masks: list[int], full: int) -> int:
+    """Fewest masks any vertex of `full` lies in, by bit-sliced counting."""
+    planes = [0] * len(masks).bit_length()   # no count exceeds len(masks)
+    for carry in masks:
+        for j in range(len(planes)):
+            planes[j], carry = planes[j] ^ carry, planes[j] & carry
+    low, least = full, 0
+    for j in reversed(range(len(planes))):
+        if low & ~planes[j]:
+            low &= ~planes[j]
+        else:
+            least |= 1 << j
+    return least
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,6 +243,13 @@ class AbsorbingPath:
         """Segments that can host v: those whose 2k vertices v all sees."""
         row = g.adj[v]
         return [i for i, sm in enumerate(self._segment_masks) if row & sm == sm]
+
+    def hostable(self, g: Graph) -> int:
+        """Mask of the vertices some segment can host."""
+        out = 0
+        for i in range(len(self.starts)):
+            out |= common_neighborhood_mask(g, self.segment(i))
+        return out
 
 
 def _validate(g: Graph, k: int, family: tuple[VAbsorber, ...],

@@ -7,7 +7,9 @@ finds a shortest connection first (the depth-limited DFS explores exactly
 the breadth-first skeleton, but keeps on-path disjointness exact).
 Docking against the target tuple is pruned early with prefix-ANDs of the
 target's adjacency rows, then re-verified by literally appending the target
-vertices through the same window checks.
+vertices through the same window checks.  Ties break by a vertex order
+shuffled from the request seed when the first search with an inner vertex
+starts, so a call that docks with none (common at k = 1) never draws it.
 """
 
 from __future__ import annotations
@@ -64,12 +66,12 @@ class _Budget:
 
 
 def _search(g: Graph, req: ConnectRequest, m: int, budget: _Budget,
-            priority) -> Optional[tuple[int, ...]]:
+            priority: list[int]) -> Optional[tuple[int, ...]]:
     """DFS for a connection with exactly m inner vertices.
 
     Returns a vertex tuple; None when the space is exhausted, and raises
     nothing on budget exhaustion -- the caller treats a dead budget as a
-    miss.
+    miss.  An empty ``priority`` (vertex -> tie-break rank) is filled if m > 0.
     """
     k = req.k
     ends_mask = mask_of(req.x_end) | mask_of(req.y_end)
@@ -81,6 +83,10 @@ def _search(g: Graph, req: ConnectRequest, m: int, budget: _Budget,
     for y in req.y_end:
         dock.append(dock[-1] & g.adj[y])
 
+    if m and not priority:   # rank of each vertex in the seeded shuffle
+        order = list(range(g.n))
+        SplitMix64(req.seed).shuffle(order)
+        priority.extend(sorted(range(g.n), key=order.__getitem__))
     seq = list(req.x_end)
 
     def dockable() -> bool:
@@ -118,14 +124,10 @@ def _search(g: Graph, req: ConnectRequest, m: int, budget: _Budget,
 
 
 def connect(g: Graph, req: ConnectRequest) -> Optional[KPath]:
-    """Shortest-inner-count connection between the two ordered ends."""
+    """Shortest-inner-count connection between the two ordered ends; ties
+    break by a ``req.seed`` shuffle drawn once a search needs inner vertices."""
     req._validate(g)
-    rng = SplitMix64(req.seed)
-    order = list(range(g.n))
-    rng.shuffle(order)
-    priority = [0] * g.n
-    for rank, v in enumerate(order):
-        priority[v] = rank
+    priority: list[int] = []
     budget = _Budget(req.node_budget)
     for m in range(req.min_inner, req.max_inner + 1):
         got = _search(g, req, m, budget, priority)

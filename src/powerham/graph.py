@@ -9,6 +9,7 @@ Conventions used across the package:
 
 * a *vertex set* crosses the API as any iterable of ints, internally as a
   bitmask (helpers ``mask_of`` / ``verts_of`` convert);
+* ``nth_bit(mask, i)`` is ``verts_of(mask)[i]`` in O(n / 64) word steps;
 * an *ordered clique* is a plain tuple of distinct, pairwise adjacent
   vertices;
 * ``list_cliques`` yields each clique once, as an ascending tuple, in
@@ -53,6 +54,18 @@ def verts_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def nth_bit(mask: int, i: int) -> int:
+    """``verts_of(mask)[i]``, skipping 64-bit words by their bit counts."""
+    if not 0 <= i < mask.bit_count():
+        raise IndexError(f"mask has no bit number {i}")
+    base = 0
+    while (c := (word := mask >> base & 0xFFFF_FFFF_FFFF_FFFF).bit_count()) <= i:
+        i, base = i - c, base + 64
+    for _ in range(i):
+        word &= word - 1
+    return base + (word & -word).bit_length() - 1
+
+
 def iter_bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
@@ -70,9 +83,8 @@ class Graph:
             raise InputError("graphs need at least one vertex")
         if len(self.adj) != self.n:
             raise InputError("adjacency row count differs from n")
-        full = (1 << self.n) - 1
         for v, row in enumerate(self.adj):
-            if row & ~full:
+            if row < 0 or row.bit_length() > self.n:
                 raise InputError(f"adjacency row {v} mentions vertices >= n")
             if row >> v & 1:
                 raise InputError(f"loop at vertex {v}")

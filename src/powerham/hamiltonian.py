@@ -412,8 +412,7 @@ def _attempt(g: Graph, cfg: PipelineConfig, seed: int, max_inner: int,
                                         capacity=capacity)
         # vertices no segment can host must leave the pool by routing,
         # so the connection search is told to spend them first
-        incompat = mask_of(v for v in verts_of(g.full_mask() & ~head.mask)
-                           if not pa.hosts(g, v))
+        incompat = g.full_mask() & ~head.mask & ~pa.hostable(g)
 
     # -- stages 2-5, with one reservoir resample allowed: when the cycle
     # cannot be closed or a straggler cannot be absorbed, a fresh reservoir

@@ -102,7 +102,7 @@ class CliqueHypergraph:
             self._degree = {}
             for t in list_cliques(self.g, self.k, within=self.live):
                 tm = mask_of(t)
-                dg = _extensions(self, tm, 0).bit_count()
+                dg = _extensions(self, tm, _window(self, tm)).bit_count()
                 if dg:
                     self._degree[tm] = dg
         return self._degree
@@ -114,7 +114,7 @@ class CliqueHypergraph:
     def iter_edges(self):
         """Each surviving edge once (from its subtuple missing the top vertex)."""
         for tm in self.degree:
-            for w in iter_bits(_extensions(self, tm, 0)):
+            for w in iter_bits(_extensions(self, tm, _window(self, tm))):
                 if (1 << w) > tm:
                     yield tm | 1 << w
 
@@ -144,8 +144,7 @@ def prune(h: CliqueHypergraph, threshold: int) -> CliqueHypergraph:
     queued = set(work)
     while work:
         t = work.pop()
-        ext = common_neighborhood_mask(h.g, iter_bits(t)) & h.live
-        for w in iter_bits(ext):
+        for w in iter_bits(_window(h, t)):
             e = t | (1 << w)
             if e in removed:
                 continue
@@ -166,9 +165,13 @@ def prune(h: CliqueHypergraph, threshold: int) -> CliqueHypergraph:
     return CliqueHypergraph(h.g, h.k, h.live, frozenset(removed), degree)
 
 
-def _extensions(h: CliqueHypergraph, tmask: int, used: int) -> int:
-    """Mask of the unused w whose edge tmask | w is alive in h."""
-    ext = common_neighborhood_mask(h.g, iter_bits(tmask)) & h.live & ~used
+def _window(h: CliqueHypergraph, tmask: int) -> int:
+    """Live common neighbourhood of a tuple: every w that forms an edge."""
+    return common_neighborhood_mask(h.g, iter_bits(tmask)) & h.live
+
+
+def _extensions(h: CliqueHypergraph, tmask: int, ext: int) -> int:
+    """The w in `ext`, a subset of _window(h, tmask), whose edge is alive."""
     if h.removed:
         for w in iter_bits(ext):
             if (tmask | 1 << w) in h.removed:
@@ -212,13 +215,15 @@ def greedy_tight_path(h: CliqueHypergraph, seed: int,
     right = True
     while not all(dead) and len(seq) != limit:
         if not dead[right]:
-            end = list(seq)[-k:] if right else list(seq)[:k]
+            end = [seq[i] for i in (range(-k, 0) if right else range(k))]
             tm = mask_of(end)
-            cands = _extensions(h, tm, used)
+            cands = _extensions(h, tm, _window(h, tm) & ~used)
             if cands:
                 base = tm ^ (1 << (end[0] if right else end[-1]))
+                # the window of base + v is base's window ANDed with v's row
+                around, adj = _window(h, base) & ~used, h.g.adj
                 best = max(iter_bits(cands), key=lambda v: (
-                    _extensions(h, base | 1 << v, used).bit_count(), -v))
+                    _extensions(h, base | 1 << v, around & adj[v]).bit_count(), -v))
                 if right:
                     seq.append(best)
                 else:

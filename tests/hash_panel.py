@@ -6,11 +6,14 @@ byte-identical:
     python3 tests/hash_panel.py            # this checkout's src/
     python3 tests/hash_panel.py OTHER/src  # for example a git worktree
 
-It prints the number of finds and one SHA-256 over every find's
-certificate, ``report.to_json_dict()`` and, for hitting-set finds, the
-window tallies.  The panel is the criterion-5 cells, graphs shaped like
-each benchmark workload (``dense_k3``, ``large_k1``, ``retry_k3``,
-``no_power``) and two hitting-set finds; it takes about 30 s.  The file
+It hashes every find's certificate, ``report.to_json_dict()`` and, for
+hitting-set finds, the window tallies.  The panel has six sections: the
+criterion-5 cells, graphs shaped like each benchmark workload
+(``dense_k3``, ``large_k1``, ``retry_k3``, ``no_power``) and two
+hitting-set finds; it takes about 30 s.  One ``section`` line per section
+gives its find count and SHA-256, so a mismatch names where it arose;
+the last two lines give the total find count and one SHA-256 over the
+same bytes in panel order.  The file
 name keeps pytest from collecting it.
 """
 
@@ -40,6 +43,7 @@ def panel(ph):
     """Yield (label, graph, k, cfg seed, hitting sets or None).
 
     ``ph`` is the imported ``powerham`` package of the tree under test.
+    A label's first word names its section.
     """
     gnp = ph.generators.gnp
     for n in (40, 60, 80, 100):
@@ -76,6 +80,7 @@ def main(argv: list[str]) -> int:
         sys.exit(f"powerham was imported from {powerham.__file__}, not {src}")
 
     digest = hashlib.sha256()
+    sections: dict[str, list] = {}   # name -> [finds, sha256]
     finds = 0
     for label, g, k, seed, sets in panel(powerham):
         cfg = ham.PipelineConfig(k=k, seed=seed)
@@ -88,9 +93,15 @@ def main(argv: list[str]) -> int:
         row["certificate"] = (None if res.certificate is None
                               else res.certificate.to_json_dict())
         row["report"] = res.report.to_json_dict()
-        digest.update(json.dumps(row, sort_keys=True,
-                                 separators=(",", ":")).encode() + b"\n")
+        line = json.dumps(row, sort_keys=True,
+                          separators=(",", ":")).encode() + b"\n"
+        digest.update(line)
+        sec = sections.setdefault(label.split()[0], [0, hashlib.sha256()])
+        sec[0] += 1
+        sec[1].update(line)
         finds += 1
+    for name, (count, sec_digest) in sections.items():
+        print(f"section {name} finds {count} sha256 {sec_digest.hexdigest()}")
     print(f"finds {finds}")
     print(f"sha256 {digest.hexdigest()}")
     return 0

@@ -134,3 +134,30 @@ def oracle_power_ham_cycle(g, ordering, k):
             if u != v and not g.adj[u] >> v & 1:
                 return False
     return True
+
+
+def eager_connect(g, req):
+    """``connect`` with its tie-break order shuffled up front, before any search.
+
+    Unlike the rest of this file it runs the code under test: the same
+    ``powerham.connector._search``, handed a full rank table, so a
+    difference from ``connect`` can only come from when the order is drawn.
+    """
+    from powerham.connector import _Budget, _search
+    from powerham.pathcover import KPath
+    from powerham.rng import SplitMix64
+
+    req._validate(g)
+    order = list(range(g.n))
+    SplitMix64(req.seed).shuffle(order)
+    priority = [0] * g.n
+    for rank, v in enumerate(order):
+        priority[v] = rank
+    budget = _Budget(req.node_budget)
+    for m in range(req.min_inner, req.max_inner + 1):
+        got = _search(g, req, m, budget, priority)
+        if got is not None:
+            return KPath(req.k, got)
+        if budget.left is not None and budget.left <= 0:
+            return None
+    return None

@@ -3,10 +3,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powerham.absorber import (
+    AbsorbingPath,
     VAbsorber,
     _grow,
     _split,
@@ -19,7 +20,7 @@ from powerham.errors import AssemblyError, CapacityError, InputError
 from powerham.generators import gnp
 from powerham.graph import Graph, list_cliques, mask_of
 from powerham.hamiltonian import _family_target
-from powerham.pathcover import is_valid_kpath
+from powerham.pathcover import KPath, is_valid_kpath
 from powerham.rng import SplitMix64
 
 from oracles import oracle_is_kpath
@@ -161,6 +162,38 @@ def test_sample_family_properties(n, gseed, k, p, cap, max_members, seed):
     assert all(owners.count(v) <= cap for v in owners)
     assert max_members is None or len(fam) <= max_members
     assert len(fam) == stats.members >= stats.sampled
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 40),
+       st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(3, 4), Fraction(1)]),
+       st.integers(0, 2 ** 32), st.integers(1, 3), st.integers(0, 2 ** 32))
+@example(n=12, p=Fraction(0), gseed=0, k=1, seed=0)   # no member at all
+def test_sample_family_coverage_matches_brute_force(n, p, gseed, k, seed):
+    g = gnp(n, p, gseed)
+    fam, stats = sample_family(g, k, Fraction(1, 10), Fraction(1), seed=seed)
+    coverage = [sum(g.adj[w] & ab.mask == ab.mask for ab in fam)
+                for w in range(n)]
+    assert stats.coverage_min == min(coverage)
+    assert stats.coverage_mean == sum(coverage) / n
+    if not fam:
+        assert stats.coverage_min == 0 and stats.coverage_mean == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(6, 30), st.integers(0, 2 ** 32), st.integers(1, 3),
+       st.data())
+def test_hostable_is_every_vertex_some_segment_hosts(n, gseed, k, data):
+    g = gnp(n, Fraction(3, 4), gseed)
+    order = data.draw(st.permutations(range(n)))
+    length = data.draw(st.integers(2 * k, n))
+    starts = data.draw(st.lists(st.sampled_from(range(0, length - 2 * k + 1, 2 * k)),
+                                min_size=1, unique=True))
+    pa = AbsorbingPath(KPath(k, tuple(order[:length])),
+                       tuple(range(len(starts))), tuple(starts))
+    hostable = pa.hostable(g)
+    assert [v for v in range(n) if hostable >> v & 1] == \
+        [v for v in range(n) if pa.hosts(g, v)]
 
 
 def test_sample_family_grows_about_one_clique_per_member():

@@ -9,7 +9,7 @@ from powerham.generators import gnp
 from powerham.graph import Graph, list_cliques, mask_of
 from powerham.pathcover import is_valid_kpath
 
-from oracles import oracle_connection_count, oracle_is_kpath
+from oracles import eager_connect, oracle_connection_count, oracle_is_kpath
 
 
 def two_disjoint_cliques(g, k):
@@ -142,3 +142,31 @@ def test_connect_complete_up_to_enumeration(seed, n):
     else:
         m = len(p) - 4
         assert counts[m] > 0 and all(c == 0 for c in counts[:m])
+
+
+# ------------------------------------------------------------ lazy order
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(5, 12), st.sampled_from([Fraction(1, 2), Fraction(3, 4)]),
+       st.integers(0, 2 ** 32), st.integers(1, 3), st.data())
+def test_lazy_order_matches_eager_order(n, p, gseed, k, data):
+    g = gnp(n, p, gseed)
+    cliques = list(list_cliques(g, k))
+    if not cliques:
+        return
+    x = data.draw(st.sampled_from(cliques))
+    rest = [c for c in cliques if not set(c) & set(x)]
+    if not rest:
+        return
+    y = data.draw(st.sampled_from(rest))
+    perm = data.draw(st.permutations(range(k)))
+    masks = st.integers(0, (1 << n) - 1)
+    max_inner = data.draw(st.integers(0, 4))
+    req = ConnectRequest(
+        tuple(x[i] for i in perm), y, k=k, max_inner=max_inner,
+        allowed_inner=data.draw(st.one_of(st.none(), masks)),
+        prefer_inner=data.draw(masks),
+        seed=data.draw(st.integers(0, 2 ** 64 - 1)),
+        node_budget=data.draw(st.one_of(st.none(), st.integers(0, 40))),
+        min_inner=data.draw(st.integers(0, max_inner)))
+    assert connect(g, req) == eager_connect(g, req)

@@ -10,7 +10,8 @@ from powerham.errors import InputError
 from powerham.graph import (MAX_VERTICES, Graph, common_neighborhood_mask,
                             count_cliques, count_ordered_cliques,
                             edges_between, from_text, is_clique, iter_bits,
-                            list_cliques, mask_of, to_text, verts_of)
+                            list_cliques, mask_of, nth_bit, to_text,
+                            verts_of)
 from powerham import generators
 
 import oracles
@@ -32,6 +33,15 @@ def test_construction_rejects_bad_input():
         Graph(2, (0b10, 0b00))  # asymmetric rows
     with pytest.raises(InputError):
         Graph(0, ())
+
+
+def test_construction_checks_rows_by_bit_length():
+    # an empty row costs nothing to check, whatever n is
+    assert Graph(MAX_VERTICES, (0,) * MAX_VERTICES).n == MAX_VERTICES
+    with pytest.raises(InputError, match="mentions vertices >= n"):
+        Graph(2, (-1, 0))
+    with pytest.raises(InputError, match="mentions vertices >= n"):
+        Graph(3, (0b1000, 0, 0))
 
 
 def test_mask_helpers_roundtrip():
@@ -139,6 +149,19 @@ def test_common_neighborhood_mask_matches_edge_set(n, seed, data):
     want = {u for u in range(n)
             if all(frozenset((u, v)) in es for v in verts)}
     assert set(iter_bits(common_neighborhood_mask(g, verts))) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(1, (1 << 700) - 1),
+                 st.sets(st.integers(0, 699), min_size=1).map(mask_of)),
+       st.data())
+def test_nth_bit_indexes_verts_of(mask, data):
+    verts = verts_of(mask)
+    for i in (0, len(verts) - 1,
+              data.draw(st.integers(0, len(verts) - 1))):
+        assert nth_bit(mask, i) == verts[i]
+    with pytest.raises(IndexError):
+        nth_bit(mask, len(verts))
 
 
 def test_clique_count_lemma_bound_small():
