@@ -34,6 +34,7 @@ from .rng import DEFAULT_SEED, SplitMix64
 
 PER_VERTEX_CAP = 8
 GROW_TRIES = 4           # grow attempts a vertex gets per admission turn
+MAX_INNER = 12           # inner-vertex ceiling of each absorbing-path join
 
 
 @dataclass(frozen=True)
@@ -265,55 +266,89 @@ def _validate(g: Graph, k: int, family: tuple[VAbsorber, ...],
             raise InputError(f"member for vertex {ab.v} is not an absorber")
 
 
+def join_chain(g: Graph, k: int, verts: Iterable[int],
+               pieces: list[tuple[int, ...]], seed: int, max_inner: int,
+               node_budget: int | None) -> tuple[list[int], list[int]]:
+    """Append each piece to the k-path ``verts``, one ``connect`` per join.
+
+    A join runs from the path's last k vertices to the piece's first k;
+    its inner vertices avoid everything placed or pending, so pieces stay
+    contiguous.  Seeds come from a fresh ``SplitMix64(seed)``.  Returns the
+    vertices and each piece's start; the first failed join raises
+    AssemblyError naming both end tuples.
+    """
+    rng = SplitMix64(seed)
+    verts = list(verts)
+    blocked = mask_of(verts) | mask_of(v for piece in pieces for v in piece)
+    starts = []
+    for piece in pieces:
+        x_end, y_end = tuple(verts[-k:]), tuple(piece[:k])
+        link = connect(g, ConnectRequest(
+            x_end, y_end, k, max_inner, allowed_inner=g.full_mask() & ~blocked,
+            seed=rng.next_u64(), node_budget=node_budget))
+        if link is None:
+            raise AssemblyError(f"cannot join {x_end} to {y_end}")
+        verts.extend(link.vertices[k:-k])
+        blocked |= mask_of(link.vertices)   # its ends are blocked already
+        starts.append(len(verts))
+        verts.extend(piece)
+    return verts, starts
+
+
 def build_absorbing_path(g: Graph, k: int, zeta: Fraction,
                          family: tuple[VAbsorber, ...],
-                         seed: int = DEFAULT_SEED, max_inner: int = 12,
+                         seed: int = DEFAULT_SEED,
                          node_budget: int | None = None) -> AbsorbingPath:
     """Join all family members into a single k-path, in owner order.
 
-    Members are visited ascending by the vertex they were sampled for; each
-    join connects the y-half of the previous segment to the x-half of the
-    next one.  Everything already placed plus every not-yet-placed segment
-    is forbidden as connector interior, so segments stay contiguous.
-    Each join is one ``connect`` call, with no retry: AssemblyError, naming
-    the failing pair, is raised as soon as one call finds no connection.
+    Members are visited ascending by the vertex they were sampled for and
+    chained by :func:`join_chain`, each join running from the y-half of the
+    previous segment to the x-half of the next, at most ``MAX_INNER``
+    inner vertices long.
     """
     if not family:
         raise InputError("cannot assemble an empty family")
     _validate(g, k, family, zeta)
-    rng = SplitMix64(seed)
     order = sorted(range(len(family)),
                    key=lambda i: (family[i].v, family[i].clique))
     members = [family[i] for i in order]
-
-    verts = list(members[0].clique)
-    starts = [0]
-    placed_mask = members[0].mask
-    pending_mask = 0
-    for ab in members[1:]:
-        pending_mask |= ab.mask
-    for prev, nxt in zip(members, members[1:]):
-        # nxt's y-half stays off limits: contiguity, and it follows immediately
-        allowed = g.full_mask() & ~(placed_mask | pending_mask)
-        pending_mask &= ~nxt.mask
-        req = ConnectRequest(x_end=prev.y_half, y_end=nxt.x_half, k=k,
-                             max_inner=max_inner, allowed_inner=allowed,
-                             seed=rng.next_u64(), node_budget=node_budget)
-        piece = connect(g, req)
-        if piece is None:
-            raise AssemblyError(
-                f"cannot join the segment for vertex {prev.v} "
-                f"to the segment for vertex {nxt.v}")
-        inner = piece.vertices[k:-k]
-        verts.extend(inner)
-        starts.append(len(verts))
-        verts.extend(nxt.clique)
-        placed_mask |= mask_of(inner) | nxt.mask
-
+    verts, starts = join_chain(g, k, members[0].clique,
+                               [ab.clique for ab in members[1:]], seed,
+                               MAX_INNER, node_budget)
     path = KPath(k, tuple(verts))
     if not is_valid_kpath(g, path):
         raise AssemblyError("assembled segments do not form a valid k-path")
-    return AbsorbingPath(path, tuple(order), tuple(starts))
+    return AbsorbingPath(path, tuple(order), (0, *starts))
+
+
+def _match(xs: list[int], usable: dict[int, list[int]]
+           ) -> tuple[dict[int, int], list[int]]:
+    """Match xs to segments by augmenting paths, ascending, without recursion;
+    returns segment -> vertex and the unmatched vertices, in xs order."""
+    matched: dict[int, int] = {}
+    spill = []
+    for root in xs:
+        visited: set[int] = set()
+        todo = [iter(usable[root])]     # untried segments along the path
+        taken: list[int] = []           # the segment each path vertex takes
+        while todo:
+            for i in todo[-1]:
+                if i not in visited:
+                    break
+            else:
+                todo.pop()
+                del taken[-1:]          # the segment that led here, if any
+                continue
+            visited.add(i)
+            taken.append(i)
+            if i not in matched:
+                break
+            todo.append(iter(usable[matched[i]]))
+        # root and each vertex it displaces move to the segment taken next
+        matched.update(zip(taken, [root] + [matched[i] for i in taken[:-1]]))
+        if not todo:
+            spill.append(root)
+    return matched, spill
 
 
 def absorb(g: Graph, pa: AbsorbingPath, x_set: Iterable[int]) -> KPath:
@@ -340,25 +375,8 @@ def absorb(g: Graph, pa: AbsorbingPath, x_set: Iterable[int]) -> KPath:
     k = pa.path.k
     usable = {v: pa.hosts(g, v) for v in xs}
 
-    matched: dict[int, int] = {}   # segment -> its singleton vertex
-
-    def augment(v: int, visited: set[int]) -> bool:
-        for i in usable[v]:
-            if i in visited:
-                continue
-            visited.add(i)
-            if i not in matched or augment(matched[i], visited):
-                matched[i] = v
-                return True
-        return False
-
-    groups: dict[int, list[int]] = {}
-    spill: list[int] = []
-    for v in xs:
-        if not augment(v, set()):
-            spill.append(v)
-    for i, v in matched.items():
-        groups[i] = [v]
+    matched, spill = _match(xs, usable)
+    groups = {i: [v] for i, v in matched.items()}
     for v in spill:
         for i in usable[v]:
             grp = groups.setdefault(i, [])

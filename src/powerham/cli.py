@@ -23,7 +23,8 @@ from contextlib import nullcontext
 from fractions import Fraction
 from itertools import product
 
-from .constants import connector_constants, main_constants
+from .constants import (connector_constants, exact_json, exact_text,
+                        main_constants)
 from .errors import InputError, PowerhamError, SizeError
 from .generators import GenSpec, generate
 from .graph import check_vertex_count, from_text, to_text
@@ -293,8 +294,9 @@ def _cmd_oracle(args) -> int:
 # ---------------------------------------------------------------- constants
 
 def _fmt_rational(q: Fraction) -> str:
-    approx = f"{float(q):.6g}" if q.denominator != 1 else ""
-    return f"{q}" + (f" (~{approx})" if approx else "")
+    text = exact_text(q)   # ~10^x past the digit limit: no float either
+    approx = q.denominator != 1 and not text.startswith("~")
+    return text + (f" (~{float(q):.6g})" if approx else "")
 
 
 def _cmd_constants(args) -> int:
@@ -304,9 +306,9 @@ def _cmd_constants(args) -> int:
     sched = delta_schedule(mu)
     out = {
         "main": mc.to_json_dict(),
-        "delta_schedule": {"mu": str(sched.mu), "L": sched.L,
-                           "c": str(sched.c),
-                           "delta": [str(x) for x in sched.delta]},
+        "delta_schedule": {"mu": exact_json(sched.mu), "L": sched.L,
+                           "c": exact_json(sched.c),
+                           "delta": [exact_json(x) for x in sched.delta]},
     }
     if args.zeta is not None:
         cc = connector_constants(d, mu, _rational(args.zeta), args.k)
@@ -315,7 +317,8 @@ def _cmd_constants(args) -> int:
         _emit_json(out)
         return 0
 
-    print(f"inputs: d = {d}, mu = {mu}, k = {args.k}")
+    print(f"inputs: d = {exact_text(d)}, mu = {exact_text(mu)}, "
+          f"k = {args.k}")
     print(f"long-path threshold zeta = {_fmt_rational(mc.path.zeta)}")
     print(f"long-path density slack rho = {_fmt_rational(mc.path.rho)}")
     ab = mc.absorber

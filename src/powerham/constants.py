@@ -21,17 +21,25 @@ the iteration is xi_{i+1} = B * xi_i^(k+1), hence
     xi_i = B^(((k+1)^i - 1) / k) * xi_0^((k+1)^i)
 
 which turns 10^10-digit arithmetic into exponent bookkeeping.
+
+Values print through ``exact_json``, in factored form past Python's digit
+limit.  Inputs past MIN_MU and MAX_K are refused before any evaluation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import comb, factorial
 
 from powerham.errors import InputError, PowerhamError, SizeError
 from powerham.walks import delta_schedule
+
+# Input limits: the schedule at mu/2 holds floor(16/mu) + 1 fractions of up
+# to ~L^2/2 bits for _factor, and xi's exponents grow like (k+1)^(L+2).
+MIN_MU = Fraction(1, 16)
+MAX_K = 8
 
 # Trial division bound: anything surviving it below _PRIME_CERT is prime.
 _TRIAL_LIMIT = 10 ** 6
@@ -54,7 +62,8 @@ def _factor(n: int) -> dict[int, int]:
         p += 2 if p % 3 == 2 else 4  # skip multiples of 2 and 3
     if n > 1:
         if n >= _PRIME_CERT:
-            raise InputError(f"constant inputs must factor over small primes (stuck at {n})")
+            raise InputError("constant inputs must factor over small primes "
+                             f"(stuck at a {n.bit_length()}-bit cofactor)")
         out[n] = out.get(n, 0) + 1
     return out
 
@@ -83,10 +92,6 @@ class FactoredRational:
         for p, e in _factor(q.denominator).items():
             factors[p] = factors.get(p, 0) - e
         return cls._make(sign, factors)
-
-    @classmethod
-    def from_int(cls, n: int) -> "FactoredRational":
-        return cls.from_fraction(Fraction(n))
 
     def log10(self) -> float:
         return math.fsum(e * math.log10(p) for p, e in self.powers)
@@ -184,14 +189,13 @@ class FactoredRational:
     def to_json(self):
         """Exact "p/q" when printable, else sign/log10/factor map."""
         try:
-            return _frac_str(self.to_fraction(max_digits=400))
+            return str(self.to_fraction(max_digits=400))
         except SizeError:
             return {"sign": self.sign, "log10": round(self.log10(), 6),
                     "factors": {str(p): e for p, e in self.powers}}
 
     def __str__(self):
-        j = self.to_json()
-        return j if isinstance(j, str) else f"~10^{j['log10']:.6g}"
+        return exact_text(self)
 
 
 def _coerce(x):
@@ -220,11 +224,23 @@ def fmin(*values) -> FactoredRational:
     return best
 
 
-def _frac_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+def exact_json(q):
+    """"p/q", or the factored map past ``sys.get_int_max_str_digits()``."""
+    if isinstance(q, FactoredRational):
+        return q.to_json()
+    try:
+        return str(Fraction(q))       # "p/q", or "p" when q = 1
+    except ValueError:
+        return FactoredRational.from_fraction(q).to_json()
 
 
-def _check_inputs(d=None, mu=None, zeta=None, k=None):
+def exact_text(q) -> str:
+    """``exact_json`` as text: the exact value, or ~10^x for the map."""
+    j = exact_json(q)
+    return j if isinstance(j, str) else f"~10^{j['log10']:.6g}"
+
+
+def _check_inputs(d=None, mu=None, zeta=None, k=None, mu_min=MIN_MU):
     if d is not None and not 0 < Fraction(d) <= 1:
         raise InputError("d must be in (0, 1]")
     if mu is not None and not 0 < Fraction(mu) <= 1:
@@ -233,23 +249,35 @@ def _check_inputs(d=None, mu=None, zeta=None, k=None):
         raise InputError("zeta must be in (0, 1]")
     if k is not None and (not isinstance(k, int) or k < 1):
         raise InputError("k must be a positive integer")
+    if mu is not None and Fraction(mu) < mu_min:
+        raise SizeError(f"mu must be at least {mu_min}")
+    if k is not None and k > MAX_K:
+        raise SizeError(f"k must be at most {MAX_K}")
+
+
+class _Schedule:
+    """JSON of a schedule: every field, exact values through exact_json."""
+
+    def to_json_dict(self):
+        out = {}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            out[f.name] = (v.to_json_dict() if isinstance(v, _Schedule)
+                           else v if isinstance(v, int) else exact_json(v))
+        return out
 
 
 @dataclass(frozen=True)
-class PathConstants:
+class PathConstants(_Schedule):
     """Long-tight-path guarantee: threshold zeta and density slack rho."""
     d: Fraction
     k: int
     rho: Fraction
     zeta: Fraction
 
-    def to_json_dict(self):
-        return {"d": _frac_str(self.d), "k": self.k,
-                "rho": _frac_str(self.rho), "zeta": _frac_str(self.zeta)}
-
 
 @dataclass(frozen=True)
-class ConnectorConstants:
+class ConnectorConstants(_Schedule):
     """Connection-count guarantee: xi n^m paths of <= M inner vertices."""
     d: Fraction
     mu: Fraction
@@ -261,15 +289,9 @@ class ConnectorConstants:
     xi: FactoredRational
     rho: FactoredRational
 
-    def to_json_dict(self):
-        return {"d": _frac_str(self.d), "mu": _frac_str(self.mu),
-                "zeta": _frac_str(self.zeta), "k": self.k,
-                "L": self.L, "M": self.M, "xi0": _frac_str(self.xi0),
-                "xi": self.xi.to_json(), "rho": self.rho.to_json()}
-
 
 @dataclass(frozen=True)
-class AbsorberConstants:
+class AbsorberConstants(_Schedule):
     """Absorbing-path guarantee: absorbs any alpha*n leftover vertices."""
     d: Fraction
     mu: Fraction
@@ -279,20 +301,9 @@ class AbsorberConstants:
     alpha: Fraction
     rho: FactoredRational
 
-    def sample_rate(self, n: int) -> Fraction:
-        """Per-tuple inclusion probability for the random absorber family."""
-        if n < 1:
-            raise InputError("n must be positive")
-        return self.zeta / (6 * (10 * self.k ** 2 + self.M) * n ** (2 * self.k - 1))
-
-    def to_json_dict(self):
-        return {"d": _frac_str(self.d), "mu": _frac_str(self.mu), "k": self.k,
-                "zeta": _frac_str(self.zeta), "M": self.M,
-                "alpha": _frac_str(self.alpha), "rho": self.rho.to_json()}
-
 
 @dataclass(frozen=True)
-class MainConstants:
+class MainConstants(_Schedule):
     """Composed schedule for the full argument at (d, mu, k)."""
     d: Fraction
     mu: Fraction
@@ -304,14 +315,6 @@ class MainConstants:
     rho: FactoredRational
     reservoir_rate: Fraction
 
-    def to_json_dict(self):
-        return {"d": _frac_str(self.d), "mu": _frac_str(self.mu), "k": self.k,
-                "zeta": _frac_str(self.zeta), "rho": self.rho.to_json(),
-                "reservoir_rate": _frac_str(self.reservoir_rate),
-                "path": self.path.to_json_dict(),
-                "absorber": self.absorber.to_json_dict(),
-                "connector": self.connector.to_json_dict()}
-
 
 def path_constants(d, k: int) -> PathConstants:
     _check_inputs(d=d, k=k)
@@ -321,7 +324,8 @@ def path_constants(d, k: int) -> PathConstants:
 
 
 def connector_constants(d, mu, zeta, k: int) -> ConnectorConstants:
-    _check_inputs(d=d, mu=mu, zeta=zeta, k=k)
+    # the composed schedules evaluate the connector at mu/2
+    _check_inputs(d=d, mu=mu, zeta=zeta, k=k, mu_min=MIN_MU / 2)
     d, mu, zeta = Fraction(d), Fraction(mu), Fraction(zeta)
     sched = delta_schedule(mu)
     L = sched.L
@@ -357,55 +361,3 @@ def main_constants(d, mu, k: int) -> MainConstants:
     rho = fmin(ab.rho, ab.alpha ** 2 * pa.rho / 4, conn.rho / 4)
     return MainConstants(d, mu, k, pa, ab, conn, zeta_c, rho, ab.alpha / 4)
 
-
-@dataclass(frozen=True)
-class Feasibility:
-    """Whether the proof-grade thresholds mean anything at a concrete n."""
-    n: int
-    ok: bool
-    reasons: tuple[str, ...]
-    log10_min_n: float
-
-    def to_json_dict(self):
-        return {"n": self.n, "ok": self.ok, "reasons": list(self.reasons),
-                "log10_min_n": round(self.log10_min_n, 6)}
-
-
-def feasibility(mc: MainConstants, n: int) -> Feasibility:
-    """Check the size-dependent preconditions of the schedule at n.
-
-    Each failed reason reports the required magnitude.  The binding
-    constraint is always the density slack rho*n^2 >= 1; its threshold is
-    reported only as a log10 since the integer itself is unwritable.
-    """
-    if n < 1:
-        raise InputError("n must be positive")
-    ab, k = mc.absorber, mc.k
-    reasons = []
-    mins = []
-
-    def log10_frac(q: Fraction) -> float:
-        # math.log10 handles arbitrary-size ints; Fractions may overflow float
-        return math.log10(q.numerator) - math.log10(q.denominator)
-
-    need = 4 / ab.alpha  # expected reservoir reservoir_rate*n at least 1
-    mins.append(log10_frac(need))
-    if n < need:
-        reasons.append(f"expected reservoir size alpha*n/4 < 1 (needs n >= {math.ceil(need)})")
-
-    fam = 6 * (10 * k ** 2 + ab.M) / ab.zeta  # expected absorber family size
-    mins.append(log10_frac(fam))
-    if n < fam:
-        reasons.append(f"expected absorber family is empty (needs n >= {math.ceil(fam)})")
-
-    conn = 1 / mc.zeta  # ceil(zeta*n) >= 1 with room to spare
-    mins.append(log10_frac(conn))
-    if n < conn:
-        reasons.append(f"connectable threshold zeta*n < 1 (needs n >= {math.ceil(conn)})")
-
-    rho_min = -mc.rho.log10() / 2  # rho * n^2 >= 1
-    mins.append(rho_min)
-    if 2 * math.log10(n) < rho_min:
-        reasons.append(f"density slack rho*n^2 < 1 (needs log10(n) >= {rho_min:.6g})")
-
-    return Feasibility(n, not reasons, tuple(reasons), max(mins))

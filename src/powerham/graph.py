@@ -171,6 +171,13 @@ def is_clique(g: Graph, verts: Iterable[int]) -> bool:
     return True
 
 
+def _pool(g: Graph, within: int | Iterable[int] | None) -> int:
+    """`within` as a vertex mask: a bitmask or vertices; None means all of V."""
+    if within is None:
+        return g.full_mask()
+    return (within if isinstance(within, int) else mask_of(within)) & g.full_mask()
+
+
 def list_cliques(g: Graph, k: int, within: int | Iterable[int] | None = None
                  ) -> Iterator[tuple[int, ...]]:
     """Yield the k-cliques inside `within` as ascending tuples, lex order.
@@ -180,12 +187,7 @@ def list_cliques(g: Graph, k: int, within: int | Iterable[int] | None = None
     """
     if k < 0:
         raise InputError("clique order must be >= 0")
-    if within is None:
-        pool = g.full_mask()
-    elif isinstance(within, int):
-        pool = within & g.full_mask()
-    else:
-        pool = mask_of(within) & g.full_mask()
+    pool = _pool(g, within)
     if k == 0:
         yield ()
         return
@@ -214,12 +216,7 @@ def count_cliques(g: Graph, k: int, within: int | Iterable[int] | None = None
         raise InputError("clique order must be >= 0")
     if k == 0:
         return 1
-    if within is None:
-        pool = g.full_mask()
-    elif isinstance(within, int):
-        pool = within & g.full_mask()
-    else:
-        pool = mask_of(within) & g.full_mask()
+    pool = _pool(g, within)
     adj = g.adj
 
     def rec(depth: int, cand: int) -> int:

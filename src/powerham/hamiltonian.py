@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import ceil
 from typing import Optional
 
-from powerham.absorber import absorb, build_absorbing_path, sample_family
+from powerham.absorber import (absorb, build_absorbing_path, join_chain,
+                               sample_family)
 from powerham.connector import ConnectRequest, connect
 from powerham.errors import (AssemblyError, CapacityError, InfeasibleSetError,
                              InputError, PowerhamError, SizeError)
@@ -190,6 +191,7 @@ class StageReport:
 class PipelineResult:
     certificate: Optional[Certificate]
     report: StageReport
+    tallies: tuple[int, ...] = ()   # hitting-set finds: windows per set
 
     @property
     def ok(self) -> bool:
@@ -314,10 +316,10 @@ def _close_cycle(g: Graph, k: int, head: KPath, cover, reservoir: int,
 def _stitch_hitting_cliques(g: Graph, k: int, head: KPath,
                             hitting: list[list[tuple[int, ...]]], seed: int,
                             max_inner: int) -> KPath:
-    """Pick one clique per hitting set off the head, append each to its y side.
+    """Pick one clique per hitting set off the head; chain them onto its y end.
 
     Raises AssemblyError when every candidate of a set meets the path or an
-    earlier pick, or when a clique cannot be joined on.
+    earlier pick, or when ``join_chain`` cannot join a clique on.
     """
     hrng = SplitMix64(seed)
     chosen: list[tuple[int, ...]] = []
@@ -330,23 +332,9 @@ def _stitch_hitting_cliques(g: Graph, k: int, head: KPath,
             raise AssemblyError(f"every clique of hitting set {i} is taken")
         chosen.append(pick)
         taken |= mask_of(pick)
-    rng = SplitMix64(seed)
-    cur = head
-    pending = taken & ~head.mask
-    for cl in chosen:
-        pending &= ~mask_of(cl)
-        req = ConnectRequest(x_end=cur.y_end, y_end=tuple(cl), k=k,
-                             max_inner=max_inner,
-                             allowed_inner=g.full_mask()
-                             & ~(cur.mask | pending | mask_of(cl)),
-                             seed=rng.next_u64(),
-                             node_budget=ASSEMBLY_NODE_BUDGET)
-        piece = connect(g, req)
-        if piece is None:
-            raise AssemblyError(
-                f"cannot stitch the clique {cl} onto the absorbing path")
-        cur = KPath(k, cur.vertices + piece.vertices[k:])
-    return cur
+    verts, _ = join_chain(g, k, head.vertices, chosen, seed, max_inner,
+                          ASSEMBLY_NODE_BUDGET)
+    return KPath(k, tuple(verts))
 
 
 def _certify(g: Graph, k: int, head: KPath, pa, layout: _CycleLayout,
@@ -555,28 +543,14 @@ def window_tallies(cert: Certificate, sets: list[tuple[int, ...]]
     return tuple(tallies)
 
 
-@dataclass(frozen=True)
-class HittingSetsResult:
-    certificate: Optional[Certificate]
-    report: StageReport
-    tallies: tuple[int, ...]
-
-    @property
-    def ok(self) -> bool:
-        return self.certificate is not None
-
-
 def find_with_hitting_sets(g: Graph, cfg: PipelineConfig,
-                           sets: list[tuple[int, ...]],
-                           per_set_min: int = 1) -> HittingSetsResult:
+                           sets: list[tuple[int, ...]]) -> PipelineResult:
     """Pipeline variant that plants a connectable k-clique in every set.
 
     Each requested set contributes at least one clique stitched onto the
     absorbing path, so the final cycle carries k-windows inside every set;
     the tallies report how many.
     """
-    if per_set_min < 1:
-        raise InputError("per_set_min must be >= 1")
     if len(sets) > MAX_HITTING_SETS:
         raise SizeError(f"at most {MAX_HITTING_SETS} sets are supported")
     k = cfg.k
@@ -598,8 +572,8 @@ def find_with_hitting_sets(g: Graph, cfg: PipelineConfig,
         hitting.append(cands)
     result = _run_pipeline(g, cfg, hitting=hitting)
     if not result.ok:
-        return HittingSetsResult(None, result.report, ())
+        return result
     tallies = window_tallies(result.certificate, sets)
-    if any(t < per_set_min for t in tallies):
+    if 0 in tallies:
         raise PowerhamError("a planted clique vanished from the final cycle")
-    return HittingSetsResult(result.certificate, result.report, tallies)
+    return replace(result, tallies=tallies)

@@ -161,3 +161,28 @@ def eager_connect(g, req):
         if budget.left is not None and budget.left <= 0:
             return None
     return None
+
+
+def recursive_match(xs, usable):
+    """``absorber._match`` as a recursive augmenting-path search.
+
+    Same contract: each vertex of xs in turn takes a segment of
+    ``usable[v]``, segments tried ascending, one visited set per vertex;
+    returns segment -> vertex and the unmatched vertices in xs order.  It
+    recurses once per matched segment along the chain, so long chains need
+    a deep interpreter stack.
+    """
+    matched = {}
+
+    def augment(v, visited):
+        for i in usable[v]:
+            if i in visited:
+                continue
+            visited.add(i)
+            if i not in matched or augment(matched[i], visited):
+                matched[i] = v
+                return True
+        return False
+
+    spill = [v for v in xs if not augment(v, set())]
+    return matched, spill

@@ -1,5 +1,8 @@
 """Absorber enumeration, family sampling, assembly, and absorption."""
 
+import ast
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,10 +13,12 @@ from powerham.absorber import (
     AbsorbingPath,
     VAbsorber,
     _grow,
+    _match,
     _split,
     absorb,
     build_absorbing_path,
     is_valid_absorber,
+    join_chain,
     sample_family,
 )
 from powerham.errors import AssemblyError, CapacityError, InputError
@@ -23,7 +28,7 @@ from powerham.hamiltonian import _family_target
 from powerham.pathcover import KPath, is_valid_kpath
 from powerham.rng import SplitMix64
 
-from oracles import oracle_is_kpath
+from oracles import oracle_is_kpath, recursive_match
 
 
 def two_disjoint_cliques(size: int) -> Graph:
@@ -254,7 +259,44 @@ def test_assembly_across_components_fails_loudly():
     fam = (VAbsorber(4, (0, 1, 2, 3)), VAbsorber(10, (6, 7, 8, 9)))
     with pytest.raises(AssemblyError) as err:
         build_absorbing_path(g, 2, Fraction(0), fam, seed=0)
-    assert "4" in str(err.value) and "10" in str(err.value)
+    assert "(2, 3)" in str(err.value) and "(6, 7)" in str(err.value)
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.integers(4, 16), p=st.sampled_from([Fraction(1, 2), Fraction(3, 4),
+                                               Fraction(9, 10)]),
+       k=st.integers(1, 2), shape=st.integers(1, 2), gseed=st.integers(0, 999),
+       seed=st.integers(0, 2 ** 64 - 1), max_inner=st.integers(0, 4))
+def test_join_chain_places_pieces_verbatim(n, p, k, shape, gseed, seed,
+                                           max_inner):
+    g = gnp(n, p, seed=gseed)
+    # a k-clique to start from, then up to three disjoint (shape*k)-cliques
+    heads = list(list_cliques(g, k))
+    cands = list(list_cliques(g, shape * k))
+    SplitMix64(gseed).shuffle(heads)
+    SplitMix64(gseed + 1).shuffle(cands)
+    if not heads:
+        return
+    verts = heads[0]
+    taken = mask_of(verts)
+    pieces = []
+    for cl in cands:
+        if len(pieces) < 3 and not mask_of(cl) & taken:
+            pieces.append(cl)
+            taken |= mask_of(cl)
+    try:
+        out, starts = join_chain(g, k, verts, pieces, seed, max_inner, None)
+    except AssemblyError as err:
+        x_end, y_end = (ast.literal_eval(t) for t in re.fullmatch(
+            r"cannot join (\(.*?\)) to (\(.*?\))", str(err)).groups())
+        j = [pc[:k] for pc in pieces].index(y_end)
+        assert x_end == (pieces[j - 1] if j else verts)[-k:]
+        return
+    assert tuple(out[:k]) == verts and len(starts) == len(pieces)
+    for s, pc in zip(starts, pieces):
+        assert tuple(out[s:s + len(pc)]) == pc
+    assert len(set(out)) == len(out)   # so no inner vertex is in a piece
+    assert oracle_is_kpath(g, out, k)
 
 
 def test_assembly_rejects_empty_or_mismatched_family():
@@ -381,3 +423,40 @@ def test_absorption_preserves_validity_across_seeds():
         assert set(out.vertices) == set(pa.path.vertices) | set(xs)
         exercised += 1
     assert exercised >= 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 8).flatmap(lambda segs: st.lists(
+    st.lists(st.integers(0, segs - 1), unique=True).map(sorted)
+    if segs else st.just([]), max_size=10)))
+def test_match_agrees_with_recursive_oracle(rows):
+    xs = list(range(100, 100 + len(rows)))
+    usable = dict(zip(xs, rows))
+    matched, spill = _match(xs, usable)
+    want, want_spill = recursive_match(xs, usable)
+    assert list(matched.items()) == list(want.items()) and spill == want_spill
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_absorb_survives_a_long_augmenting_chain():
+    # vertex 600 + j finds every segment below j taken, so its augmenting
+    # path walks j matched segments: 250 levels deep at the last vertex
+    g = Graph.complete(900)
+    pa = AbsorbingPath(KPath(1, tuple(range(600))), tuple(range(300)),
+                       tuple(range(0, 600, 2)))
+    xs = range(600, 850)
+    want = absorb(g, pa, xs)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        got = absorb(g, pa, xs)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == want
+    assert set(got.vertices) == set(range(850))

@@ -9,6 +9,7 @@ import pytest
 
 import powerham
 from powerham.cli import run
+from powerham.constants import MAX_K, MIN_MU
 from powerham.generators import gnp, two_overlapping_cliques
 from powerham.graph import MAX_VERTICES, Graph, to_text
 
@@ -358,6 +359,29 @@ def test_constants_human_output_mentions_exact_rationals(capsys):
     assert run(["constants", "--mu", "1/2", "--d", "1/2", "-k", "2"]) == 0
     text = capsys.readouterr().out
     assert "zeta = 1/72" in text and "rho = 1/96" in text
+
+
+def test_constants_past_the_print_limit(capsys):
+    # at mu = 1/16 the connector's xi0 and the schedule's later deltas have
+    # more digits than Python prints; they fall back to the factored form
+    assert run(["constants", "--mu", "1/16", "--d", "1/2", "-k", "1"]) == 0
+    assert "xi = ~10^" in capsys.readouterr().out
+    code, out = run_json(capsys, ["constants", "--mu", "1/16", "--d", "1/2",
+                                  "-k", "1", "--json"])
+    assert code == 0
+    xi0 = out["main"]["connector"]["xi0"]
+    assert xi0["sign"] == 1 and xi0["log10"] < -4300
+    assert out["main"]["path"]["zeta"] == "1/12"
+
+
+@pytest.mark.parametrize("mu,k,code", [
+    (str(MIN_MU), "1", 0), (str(MIN_MU * Fraction(99, 100)), "1", 2),
+    ("1/2", str(MAX_K), 0), ("1/2", str(MAX_K + 1), 2)])
+def test_constants_input_limits(capsys, mu, k, code):
+    assert run(["constants", "--mu", mu, "--d", "1/2", "-k", k]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 # ------------------------------------------------------------------- bench

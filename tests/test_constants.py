@@ -1,12 +1,13 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powerham.constants import (FactoredRational, Feasibility,
+from powerham.constants import (MAX_K, MIN_MU, FactoredRational,
                                 absorber_constants, connector_constants,
-                                feasibility, fmin, main_constants,
+                                exact_json, fmin, main_constants,
                                 path_constants)
 from powerham.errors import InputError, SizeError
 
@@ -38,9 +39,9 @@ def test_factored_pow_matches_fraction(a, e):
 
 
 def test_factored_huge_exponents():
-    big = FR.from_int(2) ** (10 ** 9)
+    big = FR.from_fraction(2) ** (10 ** 9)
     assert (big / big).to_fraction() == 1
-    other = FR.from_int(3) ** 600_000_000
+    other = FR.from_fraction(3) ** 600_000_000
     # 10^9 log10(2) = 3.01e8 beats 6e8 log10(3) = 2.86e8
     assert big > other
     with pytest.raises(SizeError):
@@ -50,19 +51,22 @@ def test_factored_huge_exponents():
 def test_factored_rejects_unfactorable():
     with pytest.raises(InputError):
         FR.from_fraction(Fraction(2 ** 89 - 1))  # Mersenne prime, way too big
+    # a cofactor past Python's int-to-str digit limit is still reported
+    with pytest.raises(InputError, match="bit cofactor"):
+        FR.from_fraction(Fraction(1, 1_000_003 ** 720))
     # but a moderately large prime is fine
-    assert FR.from_int(1_000_003).to_fraction() == 1_000_003
+    assert FR.from_fraction(1_000_003).to_fraction() == 1_000_003
 
 
 def test_fmin_mixes_fractions_and_factored():
-    tiny = FR.from_int(2) ** (-10 ** 7)
+    tiny = FR.from_fraction(2) ** (-10 ** 7)
     assert fmin(Fraction(1, 3), tiny, 5) == tiny
     assert fmin(Fraction(1, 3), Fraction(1, 4)).to_fraction() == Fraction(1, 4)
 
 
 def test_factored_json_forms():
     assert FR.from_fraction(Fraction(-3, 8)).to_json() == "-3/8"
-    j = (FR.from_int(2) ** (-10 ** 9) * FR.from_int(3)).to_json()
+    j = (FR.from_fraction(2) ** (-10 ** 9) * FR.from_fraction(3)).to_json()
     assert j["factors"] == {"2": -(10 ** 9), "3": 1}
     assert j["sign"] == 1 and j["log10"] < -2 * 10 ** 8
 
@@ -117,7 +121,6 @@ def test_absorber_constants_fixture():
     assert ac.zeta == Fraction(1, 2 ** 22)
     assert ac.M == 68  # connector at mu/2 = 1/4: L = 32, M = 34k
     assert ac.alpha == Fraction(1, 2592 * 2 ** 44)
-    assert ac.sample_rate(100) == Fraction(1, 648 * 2 ** 22 * 10 ** 6)
     inner = connector_constants(Fraction(1, 2), Fraction(1, 4), ac.zeta / 2, 2)
     assert ac.rho == inner.rho / 4
     assert ac.rho < Fraction(1, 819200)  # the mu^2 cap never binds here
@@ -132,18 +135,6 @@ def test_main_constants_fixture():
     assert mc.path.rho == Fraction(1, 96) and mc.absorber.M == 68
 
 
-def test_feasibility_refuses_desk_scale():
-    mc = main_constants(Fraction(1, 2), Fraction(1, 2), 2)
-    f = feasibility(mc, 100)
-    assert isinstance(f, Feasibility) and not f.ok
-    assert len(f.reasons) == 4
-    assert f.log10_min_n > 100  # the rho*n^2 constraint dwarfs everything
-
-    # sanity: the linear constraints alone already need n ~ 10^18
-    assert any("reservoir" in r for r in f.reasons)
-    assert any("connectable" in r for r in f.reasons)
-
-
 def test_constants_validate_inputs():
     with pytest.raises(InputError):
         path_constants(Fraction(0), 2)
@@ -153,6 +144,30 @@ def test_constants_validate_inputs():
         connector_constants(Fraction(1, 2), Fraction(3, 2), Fraction(1, 4), 2)
     with pytest.raises(InputError):
         absorber_constants(Fraction(1, 2), Fraction(1, 2), -1)
+
+
+def test_constants_refuse_inputs_past_the_limits():
+    below = MIN_MU * Fraction(99, 100)
+    for call in (lambda: main_constants(Fraction(1, 2), below, 1),
+                 lambda: absorber_constants(Fraction(1, 2), below, 1),
+                 lambda: connector_constants(Fraction(1, 2), below / 2,
+                                             Fraction(1, 4), 1),
+                 lambda: path_constants(Fraction(1, 2), MAX_K + 1),
+                 lambda: main_constants(Fraction(1, 2), Fraction(1, 2),
+                                        MAX_K + 1)):
+        with pytest.raises(SizeError):
+            call()
+    # the composed schedules evaluate the connector at mu/2
+    assert main_constants(Fraction(1, 2), MIN_MU, 1).connector.mu == MIN_MU / 2
+    assert connector_constants(Fraction(1, 2), MIN_MU / 2, Fraction(1, 4),
+                               MAX_K).L == 2 * 8 / MIN_MU
+
+
+def test_exact_json_falls_back_past_the_print_limit():
+    assert exact_json(Fraction(-3, 8)) == "-3/8"
+    j = exact_json(Fraction(1, 2 ** 20000))
+    assert j == {"sign": 1, "log10": round(-20000 * math.log10(2), 6),
+                 "factors": {"2": -20000}}
 
 
 def test_json_shapes():

@@ -330,8 +330,6 @@ def test_hitting_set_validation():
         find_with_hitting_sets(g, cfg, [(0, 1, 2)])        # below 2k
     with pytest.raises(InputError):
         find_with_hitting_sets(g, cfg, [(5, 6, 7, 99)])
-    with pytest.raises(InputError):
-        find_with_hitting_sets(g, cfg, [(0, 1, 2, 3)], per_set_min=0)
     with pytest.raises(SizeError):
         find_with_hitting_sets(Graph.complete(70), cfg,
                                [tuple(range(i, i + 4)) for i in range(65)])
