@@ -5,9 +5,10 @@ is summarized by its last k vertices, a new vertex must land in the AND of
 their adjacency rows, and iterative deepening on the inner-vertex count
 finds a shortest connection first (the depth-limited DFS explores exactly
 the breadth-first skeleton, but keeps on-path disjointness exact).
-Docking against the target tuple is pruned early with prefix-ANDs of the
-target's adjacency rows, then re-verified by literally appending the target
-vertices through the same window checks.  Ties break by a vertex order
+Docking is exact by construction: a level whose fixed (x_end, y_end) pairs
+within distance k are not all edges is refuted before any node is spent,
+and every inner vertex must see the prefix of the target it lies within k
+of, so every leaf the search reaches docks.  Ties break by a vertex order
 shuffled from the request seed when the first search with an inner vertex
 starts, so a call that docks with none (common at k = 1) never draws it.
 """
@@ -71,9 +72,15 @@ def _search(g: Graph, req: ConnectRequest, m: int, budget: _Budget,
 
     Returns a vertex tuple; None when the space is exhausted, and raises
     nothing on budget exhaustion -- the caller treats a dead budget as a
-    miss.  An empty ``priority`` (vertex -> tie-break rank) is filled if m > 0.
+    miss.  An empty ``priority`` (vertex -> tie-break rank) is filled if m > 0
+    and the level is not refuted up front.
     """
     k = req.k
+    # x_end[t] and y_end[i] lie within distance k iff t >= m + i; no inner
+    # vertex changes these pairs, so one non-edge refutes the whole level
+    if any(not g.adj[req.y_end[i]] >> req.x_end[t] & 1
+           for i in range(k - m) for t in range(m + i, k)):
+        return None
     ends_mask = mask_of(req.x_end) | mask_of(req.y_end)
     pool = g.full_mask() & ~ends_mask
     if req.allowed_inner is not None:
@@ -89,20 +96,9 @@ def _search(g: Graph, req: ConnectRequest, m: int, budget: _Budget,
         priority.extend(sorted(range(g.n), key=order.__getitem__))
     seq = list(req.x_end)
 
-    def dockable() -> bool:
-        # append y_end through the same window discipline
-        trial = seq[-k:]
-        for y in req.y_end:
-            if not all(g.adj[y] >> u & 1 for u in trial):
-                return False
-            trial = trial[1:] + [y]
-        return True
-
     def rec(depth: int, used: int) -> Optional[tuple[int, ...]]:
         if depth == m:
-            if dockable():
-                return tuple(seq) + tuple(req.y_end)
-            return None
+            return tuple(seq) + tuple(req.y_end)
         if not budget.spend():
             return None
         win = common_neighborhood_mask(g, seq[-k:]) & pool & ~used

@@ -77,23 +77,27 @@ def random_bipartite(n: int, p: Fraction, seed: int) -> Graph:
     return Graph(n, tuple(rows))
 
 
+def _block_graph(sizes: Sequence[int], sees: Sequence[int]) -> Graph:
+    """Graph on consecutive id blocks of the given sizes, block 0 first;
+    each vertex of block i is joined to every other vertex in mask sees[i]."""
+    rows: list[int] = []
+    for size, mask in zip(sizes, sees):
+        lo = len(rows)
+        rows.extend(mask & ~(1 << v) for v in range(lo, lo + size))
+    return Graph(len(rows), tuple(rows))
+
+
 def complete_multipartite(part_sizes: Sequence[int]) -> Graph:
     """Complete multipartite graph; parts occupy consecutive id blocks."""
     if not part_sizes or any(s < 1 for s in part_sizes):
         raise InputError("part sizes must be positive")
-    n = sum(part_sizes)
-    bounds = []
-    start = 0
+    full = (1 << sum(part_sizes)) - 1
+    sees = []
+    lo = 0
     for s in part_sizes:
-        bounds.append((start, start + s))
-        start += s
-    full = (1 << n) - 1
-    rows = []
-    for lo, hi in bounds:
-        block = ((1 << hi) - 1) ^ ((1 << lo) - 1)
-        for _ in range(lo, hi):
-            rows.append(full ^ block)
-    return Graph(n, tuple(rows))
+        sees.append(full ^ (((1 << s) - 1) << lo))
+        lo += s
+    return _block_graph(part_sizes, sees)
 
 
 def two_overlapping_cliques(n: int, mu: Fraction) -> Graph:
@@ -124,14 +128,10 @@ def two_overlapping_cliques_parts(n: int, mu: Fraction
     b_only -= excess - trim
     if b_only < 0:
         raise InputError("block sizes infeasible for this (n, mu)")
-    a = set(range(a_only + shared))
-    b = set(range(a_only, n))
-    edges = []
-    for block in (sorted(a), sorted(b)):
-        for i, u in enumerate(block):
-            for v in block[i + 1:]:
-                edges.append((u, v))
-    return Graph.from_edges(n, set(edges)), a, b
+    full = (1 << n) - 1
+    a_mask, b_mask = (1 << (a_only + shared)) - 1, full ^ ((1 << a_only) - 1)
+    g = _block_graph((a_only, shared, b_only), (a_mask, full, b_mask))
+    return g, set(range(a_only + shared)), set(range(a_only, n))
 
 
 def clique_complement(n: int, mu: Fraction) -> Graph:
@@ -145,14 +145,8 @@ def clique_complement(n: int, mu: Fraction) -> Graph:
     if n < 1 or not 0 < mu <= 1:
         raise InputError("need n >= 1 and 0 < mu <= 1")
     ind = floor((1 - mu) * n)
-    edges = []
-    for u in range(ind, n):
-        for v in range(u + 1, n):
-            edges.append((u, v))
-    for u in range(ind):
-        for v in range(ind, n):
-            edges.append((u, v))
-    return Graph.from_edges(n, edges)
+    full = (1 << n) - 1
+    return _block_graph((ind, n - ind), (full ^ ((1 << ind) - 1), full))
 
 
 def generate(spec: GenSpec) -> Graph:

@@ -529,17 +529,11 @@ def window_tallies(cert: Certificate, sets: list[tuple[int, ...]]
                    ) -> tuple[int, ...]:
     """Count, per set, the cyclic k-windows lying entirely inside it."""
     o, k, n = cert.ordering, cert.k, len(cert.ordering)
+    windows = [mask_of(o[(i + d) % n] for d in range(k)) for i in range(n)]
     tallies = []
     for s in sets:
-        smask = mask_of(s)
-        hits = 0
-        for i in range(n):
-            wmask = 0
-            for d in range(k):
-                wmask |= 1 << o[(i + d) % n]
-            if wmask & ~smask == 0:
-                hits += 1
-        tallies.append(hits)
+        outside = ~mask_of(s)
+        tallies.append(sum(1 for w in windows if not w & outside))
     return tuple(tallies)
 
 

@@ -245,10 +245,6 @@ class PathCover:
     def reached_stop(self) -> bool:
         return len(self.leftover) <= self.stop_size
 
-    def to_json_dict(self):
-        return {"paths": [list(p.vertices) for p in self.paths],
-                "leftover": list(self.leftover)}
-
 
 def cover_with_paths(g: Graph, k: int, excluded, stop_size: int,
                      seed: int) -> PathCover:

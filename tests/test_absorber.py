@@ -4,6 +4,7 @@ import ast
 import re
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -413,9 +414,13 @@ def test_absorption_preserves_validity_across_seeds():
         except AssemblyError:
             continue
         seg_masks = [mask_of(fam[m].clique) for m in pa.member_ids]
-        xs = [v for v in range(g.n)
-              if not (pa.path.mask >> v) & 1
-              and any(g.adj[v] & m == m for m in seg_masks)][:2]
+        hosts = {v: {i for i, m in enumerate(seg_masks) if g.adj[v] & m == m}
+                 for v in range(g.n) if not (pa.path.mask >> v) & 1}
+        # two vertices that distinct segments host, so both must fit; two
+        # non-adjacent vertices with one common host make absorb raise
+        xs = next(([u, v] for u, v in combinations(sorted(hosts), 2)
+                   if hosts[u] and hosts[v] and len(hosts[u] | hosts[v]) > 1),
+                  [])
         if not xs:
             continue
         out = absorb(g, pa, xs)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powerham.connector import ConnectRequest, connect
+from powerham.connector import ConnectRequest, _Budget, _search, connect
 from powerham.errors import InputError
 from powerham.generators import gnp
 from powerham.graph import Graph, list_cliques, mask_of
@@ -126,22 +126,38 @@ def test_connect_determinism():
 
 # --------------------------------------------------------------- counting
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2 ** 32), st.integers(8, 14))
-def test_connect_complete_up_to_enumeration(seed, n):
-    g = gnp(n, Fraction(1, 2), seed)
-    got = two_disjoint_cliques(g, 2)
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(8, 14), st.integers(1, 3),
+       st.sampled_from([Fraction(1, 2), Fraction(3, 4)]), st.data())
+def test_connect_complete_up_to_enumeration(seed, n, k, p, data):
+    g = gnp(n, p, seed)
+    got = two_disjoint_cliques(g, k)
     if got is None:
         return
-    x, y = got
-    req = ConnectRequest(x, y, k=2, max_inner=4, seed=seed)
-    p = connect(g, req)
-    counts = [oracle_connection_count(g, x, y, 2, m) for m in range(5)]
-    if p is None:
+    x, y = (tuple(data.draw(st.permutations(c))) for c in got)
+    counts = [oracle_connection_count(g, x, y, k, m) for m in range(5)]
+    path = connect(g, ConnectRequest(x, y, k=k, max_inner=4, seed=seed))
+    if path is None:
         assert all(c == 0 for c in counts)
     else:
-        m = len(p) - 4
+        assert oracle_is_kpath(g, path.vertices, k)
+        m = len(path) - 2 * k
         assert counts[m] > 0 and all(c == 0 for c in counts[:m])
+    for m, count in enumerate(counts):
+        req = ConnectRequest(x, y, k=k, max_inner=m, min_inner=m, seed=seed)
+        path = connect(g, req)
+        assert (path is None) == (count == 0), (m, count)
+        if path is not None:
+            assert len(path) == 2 * k + m
+            assert path.vertices[:k] == x and path.vertices[-k:] == y
+            assert oracle_is_kpath(g, path.vertices, k)
+        # a non-edge among the end pairs within distance k refutes the
+        # level before it spends a node or draws the tie-break order
+        if any(not g.adj[y[i]] >> x[t] & 1
+               for i in range(k) for t in range(m + i, k)):
+            budget, priority = _Budget(1), []
+            assert _search(g, req, m, budget, priority) is None
+            assert budget.left == 1 and priority == []
 
 
 # ------------------------------------------------------------ lazy order

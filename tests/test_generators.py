@@ -1,6 +1,7 @@
 """Seeded families: structure fixtures and determinism."""
 
 from fractions import Fraction
+from math import floor
 
 import pytest
 
@@ -106,6 +107,31 @@ def test_clique_complement_structure():
     assert oracles.oracle_edges_between(g, ind, clique) == 24
     assert inseparable_exact(g).mu_star > 0
     assert generators.clique_complement(7, Fraction(1)).edge_count == 21
+
+
+def test_block_families_match_edge_list_definitions():
+    def by_edges(n, joined):
+        return Graph.from_edges(n, [(u, v) for u in range(n)
+                                    for v in range(u + 1, n) if joined(u, v)])
+
+    mus = sorted({Fraction(a, b) for b in range(1, 7) for a in range(1, b + 1)})
+    for n in range(1, 16):
+        for mu in mus:
+            ind = floor((1 - mu) * n)
+            assert generators.clique_complement(n, mu).adj == by_edges(
+                n, lambda u, v: v >= ind).adj, (n, mu)
+            try:
+                g, a, b = generators.two_overlapping_cliques_parts(n, mu)
+            except InputError as e:
+                assert "block sizes" in str(e), (n, mu)
+                continue
+            assert a | b == set(range(n))
+            assert g.adj == by_edges(
+                n, lambda u, v: {u, v} <= a or {u, v} <= b).adj, (n, mu)
+    for parts in ([1], [3], [1, 1], [2, 3], [1, 4, 2], [3, 1, 1, 2], [2] * 5):
+        part = [i for i, s in enumerate(parts) for _ in range(s)]
+        assert generators.complete_multipartite(parts).adj == by_edges(
+            len(part), lambda u, v: part[u] != part[v]).adj, parts
 
 
 def test_genspec_roundtrip_dispatch():

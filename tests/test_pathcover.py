@@ -250,10 +250,3 @@ def test_kpath_ends():
     assert p.x_end == (4, 7) and p.y_end == (1, 3)
     assert is_valid_kpath(Graph.complete(8), p)
     assert not is_valid_kpath(Graph.cycle(8), p)
-
-
-def test_cover_json_shape():
-    pc = cover_with_paths(Graph.complete(6), 2, (), 0, 1)
-    d = pc.to_json_dict()
-    assert sorted(d) == ["leftover", "paths"]
-    assert sorted(d["paths"][0]) == list(range(6))
