@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from powerham.errors import InputError
-from powerham.graph import (Graph, common_neighborhood_mask, is_clique,
-                            iter_bits, mask_of)
+from powerham.graph import Graph, is_clique, iter_bits, mask_of
 from powerham.pathcover import KPath
 from powerham.rng import SplitMix64
 
@@ -67,29 +66,23 @@ class _Budget:
 
 
 def _search(g: Graph, req: ConnectRequest, m: int, budget: _Budget,
-            priority: list[int]) -> Optional[tuple[int, ...]]:
+            priority: list[int], pool: int, dock: list[int]
+            ) -> Optional[tuple[int, ...]]:
     """DFS for a connection with exactly m inner vertices.
 
     Returns a vertex tuple; None when the space is exhausted, and raises
     nothing on budget exhaustion -- the caller treats a dead budget as a
     miss.  An empty ``priority`` (vertex -> tie-break rank) is filled if m > 0
-    and the level is not refuted up front.
+    and the level is not refuted up front.  ``pool`` and ``dock`` come from
+    ``_masks``; neither depends on m.
     """
     k = req.k
+    adj = g.adj
     # x_end[t] and y_end[i] lie within distance k iff t >= m + i; no inner
     # vertex changes these pairs, so one non-edge refutes the whole level
-    if any(not g.adj[req.y_end[i]] >> req.x_end[t] & 1
+    if any(not adj[req.y_end[i]] >> req.x_end[t] & 1
            for i in range(k - m) for t in range(m + i, k)):
         return None
-    ends_mask = mask_of(req.x_end) | mask_of(req.y_end)
-    pool = g.full_mask() & ~ends_mask
-    if req.allowed_inner is not None:
-        pool &= req.allowed_inner
-    # dock[j] = AND of the first j target rows, for early pruning
-    dock = [g.full_mask()]
-    for y in req.y_end:
-        dock.append(dock[-1] & g.adj[y])
-
     if m and not priority:   # rank of each vertex in the seeded shuffle
         order = list(range(g.n))
         SplitMix64(req.seed).shuffle(order)
@@ -101,7 +94,9 @@ def _search(g: Graph, req: ConnectRequest, m: int, budget: _Budget,
             return tuple(seq) + tuple(req.y_end)
         if not budget.spend():
             return None
-        win = common_neighborhood_mask(g, seq[-k:]) & pool & ~used
+        win = pool & ~used
+        for v in seq[-k:]:
+            win &= adj[v]
         # inner vertices close to the dock must already see its prefix
         j = depth + 1 + k - m
         if j >= 1:
@@ -119,14 +114,27 @@ def _search(g: Graph, req: ConnectRequest, m: int, budget: _Budget,
     return rec(0, 0)
 
 
+def _masks(g: Graph, req: ConnectRequest) -> tuple[int, list[int]]:
+    """(pool, dock) for ``_search``: the vertices an inner vertex may take,
+    and dock[j] = the AND of the first j target rows (dock[0] = V)."""
+    pool = g.full_mask() & ~(mask_of(req.x_end) | mask_of(req.y_end))
+    if req.allowed_inner is not None:
+        pool &= req.allowed_inner
+    dock = [g.full_mask()]
+    for y in req.y_end:
+        dock.append(dock[-1] & g.adj[y])
+    return pool, dock
+
+
 def connect(g: Graph, req: ConnectRequest) -> Optional[KPath]:
     """Shortest-inner-count connection between the two ordered ends; ties
     break by a ``req.seed`` shuffle drawn once a search needs inner vertices."""
     req._validate(g)
     priority: list[int] = []
     budget = _Budget(req.node_budget)
+    pool, dock = _masks(g, req)
     for m in range(req.min_inner, req.max_inner + 1):
-        got = _search(g, req, m, budget, priority)
+        got = _search(g, req, m, budget, priority, pool, dock)
         if got is not None:
             return KPath(req.k, got)
         if budget.left is not None and budget.left <= 0:

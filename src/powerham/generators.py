@@ -2,7 +2,11 @@
 
 All randomness flows through the package RNG with one draw per candidate
 pair, taken in lexicographic pair order, so any port that matches the RNG
-reference vectors reproduces these graphs bit for bit.
+reference vectors reproduces these graphs bit for bit.  The random families
+share one kernel, ``_draw_rows``: it inlines ``SplitMix64.next_u64`` and
+keeps a pair iff its word u < ceil(p_num * 2**64 / q), which for an integer
+u is exactly ``chance(p)``'s rule u * q < p_num * 2**64, hoisted out of the
+pair loop; so a build costs one cheap step per pair plus O(n) per row.
 
 The two named structured families mirror the standard witnesses for the
 difference between uniform density and inseparability: two large cliques
@@ -18,11 +22,11 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from powerham.errors import InputError
 from powerham.graph import Graph
-from powerham.rng import SplitMix64
+from powerham.rng import _GAMMA, _MASK64, _MIX1, _MIX2
 
 
 @dataclass(frozen=True)
@@ -39,21 +43,42 @@ class GenSpec:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _draw_rows(n: int, p: Fraction, seed: int,
+               spans: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """Rows of the graph that keeps pair (u, v), for each (u, lo) of `spans`
+    and each v in [lo, n), iff that pair's draw passes ``chance(p)``.
+
+    One draw per pair in the order given, from ``SplitMix64(seed)``.  Row
+    u's bits v >= lo fill one ASCII row; the mirror bit u of row v goes to
+    a packed ``back`` row, so the build holds n^2 / 8 bytes, as the rows do.
+    """
+    p = Fraction(p)
+    if not 0 <= p <= 1:
+        raise InputError("p must lie in [0, 1]")
+    keep = -(-(p.numerator << 64) // p.denominator)   # ceil(p_num 2**64 / q)
+    state = seed & _MASK64
+    gamma, mix1, mix2, mask = _GAMMA, _MIX1, _MIX2, _MASK64
+    ahead = [0] * n
+    back = [bytearray((n + 7) >> 3) for _ in range(n)]   # little-endian bits
+    for u, lo in spans:
+        digits = bytearray(b"0") * n   # digits[v] is bit v
+        at, bit = u >> 3, 1 << (u & 7)
+        for v in range(lo, n):
+            state = (state + gamma) & mask
+            z = ((state ^ (state >> 30)) * mix1) & mask
+            z = ((z ^ (z >> 27)) * mix2) & mask
+            if (z ^ (z >> 31)) < keep:
+                digits[v] = 49   # ord("1")
+                back[v][at] |= bit
+        ahead[u] = int(digits[::-1], 2)
+    return tuple(a | int.from_bytes(b, "little") for a, b in zip(ahead, back))
+
+
 def gnp(n: int, p: Fraction, seed: int) -> Graph:
     """Binomial random graph; one RNG draw per pair (u < v), lex order."""
     if n < 1:
         raise InputError("n must be >= 1")
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise InputError("p must lie in [0, 1]")
-    rng = SplitMix64(seed)
-    rows = [0] * n
-    for u in range(n - 1):
-        for v in range(u + 1, n):
-            if rng.chance(p):
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-    return Graph(n, tuple(rows))
+    return Graph(n, _draw_rows(n, p, seed, ((u, u + 1) for u in range(n))))
 
 
 def random_bipartite(n: int, p: Fraction, seed: int) -> Graph:
@@ -63,18 +88,8 @@ def random_bipartite(n: int, p: Fraction, seed: int) -> Graph:
     """
     if n < 2:
         raise InputError("n must be >= 2")
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise InputError("p must lie in [0, 1]")
-    rng = SplitMix64(seed)
     half = n // 2
-    rows = [0] * n
-    for u in range(half):
-        for v in range(half, n):
-            if rng.chance(p):
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-    return Graph(n, tuple(rows))
+    return Graph(n, _draw_rows(n, p, seed, ((u, half) for u in range(half))))
 
 
 def _block_graph(sizes: Sequence[int], sees: Sequence[int]) -> Graph:

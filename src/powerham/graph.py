@@ -5,6 +5,14 @@ intersection (the hot operation behind clique listing, connection search and
 absorber screening) is a single ``&``.  Graphs are immutable; no loops, no
 multi-edges.
 
+Every ``Graph`` validates its rows when built, at about the cost of
+reading them.  Range and loop checks take O(n / 64) word steps a row.  The
+symmetry check counts edge ends first: dense rows are compared 256 rows at
+a time (``_symmetric``: O(n^2) character steps in C, O(n^2 / 256) Python
+steps, O(256 n) extra memory), sparse rows by one shift per edge end
+(O(m n / 64) word steps), so empty rows cost nothing.  The per-edge loop
+names any mismatch: the first asymmetric pair (v, u) in ascending order.
+
 Conventions used across the package:
 
 * a *vertex set* crosses the API as any iterable of ints, internally as a
@@ -28,6 +36,7 @@ are byte-exact.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -35,6 +44,8 @@ from powerham.errors import InputError
 
 # the largest graph any input may declare; checked before rows are allocated
 MAX_VERTICES = 1 << 16
+# rows per slab of the symmetry check
+_SLAB = 256
 
 
 def mask_of(verts: Iterable[int]) -> int:
@@ -73,6 +84,42 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _row(n: int, verts: list[int]) -> int:
+    """``mask_of(verts)`` for vertices below n, built in one pass.
+
+    An OR of shifts costs about (n + 10000) / 400 base-2 digits a vertex,
+    so a long list fills an ASCII row once and parses it with ``int``.
+    """
+    if len(verts) * (n + 10_000) < 400 * (n + 250):
+        return mask_of(verts)
+    digits = bytearray(b"0") * n
+    for v in verts:
+        digits[v] = 49   # ord("1"); digits[v] is bit v
+    return int(digits[::-1], 2)
+
+
+def _symmetric(adj: tuple[int, ...]) -> bool:
+    """True iff the 0/1 matrix whose rows are `adj` equals its transpose.
+
+    A slab of rows [s, s + b) is rendered as b binary strings of the bits
+    >= s and transposed with ``zip``; each column c >= s of the slab must
+    then read as the b-bit slice [s, s + b) of row c.  Pairs below s were
+    compared by an earlier slab.  Extra memory stays at O(b * n).
+    """
+    n = len(adj)
+    for s in range(0, n, _SLAB):
+        b = min(_SLAB, n - s)
+        low, fmt = (1 << b) - 1, f"0{b}b"
+        # top row first, so each column reads bit s + b - 1 first, as
+        # format() writes the slice; column n - 1 comes first
+        slab = [format(row >> s, f"0{n - s}b") for row in reversed(adj[s:s + b])]
+        cols = map("".join, zip(*slab))
+        want = (format(row >> s & low, fmt) for row in reversed(adj[s:]))
+        if not all(map(str.__eq__, cols, want)):
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class Graph:
     n: int
@@ -88,21 +135,31 @@ class Graph:
                 raise InputError(f"adjacency row {v} mentions vertices >= n")
             if row >> v & 1:
                 raise InputError(f"loop at vertex {v}")
-        for v in range(self.n):
-            for u in iter_bits(self.adj[v]):
-                if not self.adj[u] >> v & 1:
-                    raise InputError(f"edge {v}-{u} is not symmetric")
+        adj, n = self.adj, self.n
+        # a shift per edge end costs about (n + 1024) / 64 slab cells
+        if (sum(map(int.bit_count, adj)) * (n + 1024) > 64 * n * n
+                and _symmetric(adj)):
+            return
+        # sparse rows, or a mismatch to name: find the first pair per edge
+        for v, row in enumerate(adj):
+            if row:
+                for u in iter_bits(row):
+                    if not adj[u] >> v & 1:
+                        raise InputError(f"edge {v}-{u} is not symmetric")
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        rows = [0] * n
+        nbrs: defaultdict[int, list[int]] = defaultdict(list)
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise InputError(f"loop at vertex {u}")
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        rows = [0] * n
+        for v, vs in nbrs.items():
+            rows[v] = _row(n, vs)
         return Graph(n, tuple(rows))
 
     @staticmethod
@@ -137,12 +194,10 @@ class Graph:
         """Induced subgraph on `keep`, relabeled to 0..|keep|-1 ascending."""
         kept = sorted(set(keep))
         pos = {v: i for i, v in enumerate(kept)}
-        rows = [0] * len(kept)
-        for v in kept:
-            for u in iter_bits(self.adj[v]):
-                if u in pos:
-                    rows[pos[v]] |= 1 << pos[u]
-        return Graph(len(kept), tuple(rows))
+        inside = mask_of(kept)
+        return Graph(len(kept), tuple(
+            _row(len(kept), [pos[u] for u in iter_bits(self.adj[v] & inside)])
+            for v in kept))
 
 
 def common_neighborhood_mask(g: Graph, verts: Iterable[int]) -> int:
@@ -252,7 +307,7 @@ def to_text(g: Graph) -> str:
 
 def _ints(fields: list[str], lineno: int) -> tuple[int, ...]:
     try:
-        return tuple(int(f) for f in fields)
+        return tuple(map(int, fields))
     except ValueError:
         raise InputError(f"line {lineno}: not an integer in {fields}")
 
@@ -268,23 +323,22 @@ def from_text(text: str) -> Graph:
     declared = None
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
-        if parts[0] == "p":
+        if parts[0] == "e":
+            if n is None:
+                raise InputError(f"line {lineno}: edge before header")
+            if len(parts) != 3:
+                raise InputError(f"line {lineno}: edge must be 'e <u> <v>'")
+            edges.append(_ints(parts[1:], lineno))
+        elif parts[0] == "p":
             if n is not None:
                 raise InputError(f"line {lineno}: second header")
             if len(parts) != 3:
                 raise InputError(f"line {lineno}: header must be 'p <n> <m>'")
             n, declared = _ints(parts[1:], lineno)
             check_vertex_count(n)
-        elif parts[0] == "e":
-            if n is None:
-                raise InputError(f"line {lineno}: edge before header")
-            if len(parts) != 3:
-                raise InputError(f"line {lineno}: edge must be 'e <u> <v>'")
-            edges.append(_ints(parts[1:], lineno))
         else:
             raise InputError(f"line {lineno}: unknown record '{parts[0]}'")
     if n is None:

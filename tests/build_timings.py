@@ -1,0 +1,70 @@
+"""Seconds to build and validate graphs, for comparing two source trees.
+
+    python3 tests/build_timings.py            # this checkout's src/
+    python3 tests/build_timings.py OTHER/src  # for example a parent copy
+
+Each line gives one case's median wall seconds over its repeats:
+``gnp(600, 3/4, 0)``, ``gnp(2000, 3/4, 0)``, re-validating
+the rows of that graph with ``Graph(n, rows)``, ``Graph.complete(5000)``,
+``Graph(MAX_VERTICES, (0,) * MAX_VERTICES)`` and ``from_text`` on the
+16 MB text of ``gnp(2000, 3/4, 0)``.  The last line gives the peak bytes
+that ``tracemalloc`` saw while the n = 2000 rows were validated, next to
+the n * n bytes an O(n^2) structure would take.  It takes 10-60 s on a
+2-CPU machine.  The file name keeps pytest from
+collecting it.
+"""
+
+from __future__ import annotations
+
+import statistics
+import sys
+import time
+import tracemalloc
+from fractions import Fraction
+from pathlib import Path
+
+P = Fraction(3, 4)
+
+
+def seconds(fn, repeats: int) -> float:
+    runs = []
+    for _ in range(repeats):
+        t = time.perf_counter()
+        fn()
+        runs.append(time.perf_counter() - t)
+    return statistics.median(runs)
+
+
+def main(argv: list[str]) -> int:
+    src = Path(argv[0]) if argv else Path(__file__).resolve().parents[1] / "src"
+    src = src.resolve()
+    sys.path.insert(0, str(src))
+    from powerham.generators import gnp
+    from powerham.graph import MAX_VERTICES, Graph, from_text, to_text
+    import powerham
+    if src not in Path(powerham.__file__).resolve().parents:
+        sys.exit(f"powerham was imported from {powerham.__file__}, not {src}")
+
+    big = gnp(2000, P, 0)
+    text = to_text(big)
+    cases = [
+        ("gnp(600)", lambda: gnp(600, P, 0), 3),
+        ("gnp(2000)", lambda: gnp(2000, P, 0), 1),
+        ("validate(2000)", lambda: Graph(big.n, big.adj), 3),
+        ("complete(5000)", lambda: Graph.complete(5000), 1),
+        ("edgeless(MAX_VERTICES)",
+         lambda: Graph(MAX_VERTICES, (0,) * MAX_VERTICES), 3),
+        ("from_text(2000)", lambda: from_text(text), 1),
+    ]
+    for name, fn, repeats in cases:
+        print(f"{name:24s} {seconds(fn, repeats):8.3f} s")
+    tracemalloc.start()
+    Graph(big.n, big.adj)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    print(f"{'validate(2000) peak':24s} {peak:8d} B  (n*n = {big.n ** 2} B)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

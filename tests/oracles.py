@@ -136,6 +136,39 @@ def oracle_power_ham_cycle(g, ordering, k):
     return True
 
 
+def per_pair_rows(n, p, seed, bipartite=False):
+    """Adjacency rows of ``gnp`` (or ``random_bipartite``) drawn one pair at
+    a time with ``SplitMix64.chance``.
+
+    This is the generators' former builder, kept as their reference: one
+    ``chance(p)`` per candidate pair in lexicographic order, each kept pair
+    ORed into both rows.  ``SplitMix64`` itself is pinned by the reference
+    words in ``test_rng.py``.
+    """
+    from powerham.rng import SplitMix64
+
+    rng, p = SplitMix64(seed), Fraction(p)
+    half = n // 2
+    rows = [0] * n
+    for u in range(half if bipartite else n - 1):
+        for v in range(half if bipartite else u + 1, n):
+            if rng.chance(p):
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    return tuple(rows)
+
+
+def first_asymmetric_pair(rows):
+    """The first (v, u), v then u ascending, with u in row v but not v in
+    row u; None when the rows are symmetric.  Reads one bit per pair."""
+    n = len(rows)
+    for v in range(n):
+        for u in range(n):
+            if rows[v] >> u & 1 and not rows[u] >> v & 1:
+                return v, u
+    return None
+
+
 def eager_connect(g, req):
     """``connect`` with its tie-break order shuffled up front, before any search.
 
@@ -143,7 +176,7 @@ def eager_connect(g, req):
     ``powerham.connector._search``, handed a full rank table, so a
     difference from ``connect`` can only come from when the order is drawn.
     """
-    from powerham.connector import _Budget, _search
+    from powerham.connector import _Budget, _masks, _search
     from powerham.pathcover import KPath
     from powerham.rng import SplitMix64
 
@@ -154,8 +187,9 @@ def eager_connect(g, req):
     for rank, v in enumerate(order):
         priority[v] = rank
     budget = _Budget(req.node_budget)
+    pool, dock = _masks(g, req)
     for m in range(req.min_inner, req.max_inner + 1):
-        got = _search(g, req, m, budget, priority)
+        got = _search(g, req, m, budget, priority, pool, dock)
         if got is not None:
             return KPath(req.k, got)
         if budget.left is not None and budget.left <= 0:

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powerham.connector import ConnectRequest, _Budget, _search, connect
+from powerham.connector import (ConnectRequest, _Budget, _masks, _search,
+                                connect)
 from powerham.errors import InputError
 from powerham.generators import gnp
 from powerham.graph import Graph, list_cliques, mask_of
@@ -156,7 +157,7 @@ def test_connect_complete_up_to_enumeration(seed, n, k, p, data):
         if any(not g.adj[y[i]] >> x[t] & 1
                for i in range(k) for t in range(m + i, k)):
             budget, priority = _Budget(1), []
-            assert _search(g, req, m, budget, priority) is None
+            assert _search(g, req, m, budget, priority, *_masks(g, req)) is None
             assert budget.left == 1 and priority == []
 
 

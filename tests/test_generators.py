@@ -9,6 +9,7 @@ from powerham import generators
 from powerham.errors import InputError
 from powerham.graph import Graph, count_cliques, to_text
 from powerham.properties import denseness_exact, inseparable_exact, min_degree
+from powerham.rng import SplitMix64
 
 import oracles
 
@@ -75,6 +76,56 @@ def test_edge_probability_outside_unit_interval(family):
     for p in (Fraction(2), Fraction(-1, 2)):
         with pytest.raises(InputError):
             family(6, p, 0)
+
+
+# a probability whose chance() threshold ceil(p_num 2**64 / q) is no whole
+# number, next to the endpoints and the usual rationals
+ODD = Fraction(12345678901, 12345678902)
+
+
+@pytest.mark.parametrize("p", [Fraction(0), Fraction(1), THIRD,
+                               Fraction(1, 2), Fraction(3, 4), ODD])
+def test_random_families_match_per_pair_oracle(p):
+    # sizes on both sides of the 64-bit word boundary, and seeds that are
+    # masked to 64 bits
+    for n in [*range(1, 71), 129]:
+        for seed in (0, 7, 2 ** 64 + 5):
+            assert generators.gnp(n, p, seed).adj == \
+                oracles.per_pair_rows(n, p, seed), (n, seed)
+            if n >= 2:
+                assert generators.random_bipartite(n, p, seed).adj == \
+                    oracles.per_pair_rows(n, p, seed, bipartite=True), (n, seed)
+
+
+def _seed_for_first_word(u):
+    """A seed whose first SplitMix64 word is u: each mixing step inverts."""
+    mod = 1 << 64
+
+    def unshift(z, s):   # inverse of z ^= z >> s
+        x = z
+        for _ in range(64 // s):
+            x = z ^ (x >> s)
+        return x
+
+    z = unshift(u, 31) * pow(0x94D049BB133111EB, -1, mod) % mod
+    z = unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, mod) % mod
+    return (unshift(z, 30) - 0x9E3779B97F4A7C15) % mod
+
+
+@pytest.mark.parametrize("p", [Fraction(0), Fraction(1), THIRD,
+                               Fraction(3, 4), ODD])
+def test_random_families_keep_a_pair_exactly_below_the_chance_boundary(p):
+    # n = 2 draws one word; chance(p) keeps u iff u * q < p_num * 2**64
+    last = ((p.numerator << 64) - 1) // p.denominator   # largest kept word
+    for u in (last, last + 1):
+        if not 0 <= u < 1 << 64:
+            continue
+        seed = _seed_for_first_word(u)
+        assert SplitMix64(seed).next_u64() == u
+        kept = u == last
+        assert SplitMix64(seed).chance(p) == kept
+        assert generators.gnp(2, p, seed).edge_count == kept, u
+        assert generators.random_bipartite(2, p, seed).edge_count == kept, u
 
 
 def test_random_bipartite_structure():

@@ -44,6 +44,60 @@ def test_construction_checks_rows_by_bit_length():
         Graph(3, (0b1000, 0, 0))
 
 
+def _flip(rows, v, u):
+    """The rows with bit u of row v flipped, row u left as it is."""
+    return rows[:v] + (rows[v] ^ 1 << u,) + rows[v + 1:]
+
+
+@pytest.mark.parametrize("n, p", [(100, 3 / 4), (300, 1 / 2), (200, 1 / 50)])
+def test_asymmetric_bit_above_word_names_first_pair(n, p):
+    # dense rows take the slab check and sparse ones the per-edge loop; both
+    # report the first (v, u) with u in row v and v not in row u
+    g = gnp(n, p, 3)
+    for v, u in [(5, 70), (70, 5), (64, n - 1), (n - 1, 64), (n - 2, n - 1)]:
+        rows = _flip(g.adj, v, u)
+        want = oracles.first_asymmetric_pair(rows)
+        # an added bit names (v, u); a dropped one names (u, v)
+        assert want == ((v, u) if rows[v] >> u & 1 else (u, v))
+        with pytest.raises(InputError,
+                           match=f"^edge {want[0]}-{want[1]} is not symmetric$"):
+            Graph(n, rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(65, 300), st.integers(0, 2 ** 32), st.data())
+def test_asymmetric_rows_report_the_first_pair(n, seed, data):
+    g = gnp(n, data.draw(st.sampled_from([1 / 2, 3 / 4, 1])), seed)
+    rows = g.adj
+    for _ in range(data.draw(st.integers(1, 4))):
+        v, u = data.draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                  max_size=2, unique=True))
+        rows = _flip(rows, v, u)
+    want = oracles.first_asymmetric_pair(rows)
+    if want is None:
+        assert Graph(n, rows).adj == rows
+    else:
+        with pytest.raises(InputError,
+                           match=f"^edge {want[0]}-{want[1]} is not symmetric$"):
+            Graph(n, rows)
+
+
+def test_loop_and_range_checks_above_word():
+    g = gnp(150, 3 / 4, 1)
+    with pytest.raises(InputError, match="^loop at vertex 100$"):
+        Graph(150, _flip(g.adj, 100, 100))
+    with pytest.raises(InputError, match="^adjacency row 120 mentions vertices >= n$"):
+        Graph(150, _flip(g.adj, 120, 150))
+    with pytest.raises(InputError, match="^adjacency row 80 mentions vertices >= n$"):
+        Graph(150, g.adj[:80] + (-g.adj[80],) + g.adj[81:])
+
+
+def test_complete_5000_builds():
+    g = Graph.complete(5000)
+    assert g.edge_count == 5000 * 4999 // 2
+    assert g.degree(0) == g.degree(4999) == 4999
+
+
 def test_mask_helpers_roundtrip():
     assert verts_of(mask_of([5, 1, 3])) == (1, 3, 5)
     assert list(iter_bits(0b101001)) == [0, 3, 5]
@@ -201,6 +255,31 @@ def test_text_format_parses_comments_and_rejects_garbage():
         from_text("p x 1\n")  # non-integer field
     with pytest.raises(InputError):
         from_text("p 2 1\ne 0 y\n")
+
+
+def test_text_errors_keep_line_numbers_above_word():
+    g = gnp(100, 3 / 4, 2)
+    lines = to_text(g).splitlines()
+    # a comment, a blank line and spaces in the body still parse
+    body = lines[:1] + ["# note", ""] + ["  " + ln + " " for ln in lines[1:]]
+    assert from_text("\n".join(body)).adj == g.adj
+    for lineno, bad, msg in [
+            (40, "e 3", "edge must be 'e <u> <v>'"),
+            (41, "e 3 x", "not an integer in \\['3', 'x'\\]"),
+            (42, "f 3 4", "unknown record 'f'"),
+            (43, "p 100 7", "second header")]:
+        text = "\n".join(lines[:lineno - 1] + [bad] + lines[lineno:])
+        with pytest.raises(InputError, match=f"^line {lineno}: {msg}$"):
+            from_text(text)
+    # a duplicate edge line sets no new bit, so the count no longer matches
+    m = g.edge_count
+    with pytest.raises(InputError,
+                       match=f"^header declares {m + 1} edges, body has {m}$"):
+        from_text("\n".join([f"p 100 {m + 1}"] + lines[1:] + [lines[-1]]))
+    with pytest.raises(InputError, match=r"^edge \(7, 100\) out of range for n=100$"):
+        from_text("\n".join(lines[:1] + ["e 7 100"] + lines[1:]))
+    with pytest.raises(InputError, match="^loop at vertex 99$"):
+        from_text("\n".join(lines + ["e 99 99"]))
 
 
 @pytest.mark.parametrize("n", [100_000, 3_000_000, 10_000_000_000])
