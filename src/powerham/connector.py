@@ -72,9 +72,9 @@ def _search(g: Graph, req: ConnectRequest, m: int, budget: _Budget,
 
     Returns a vertex tuple; None when the space is exhausted, and raises
     nothing on budget exhaustion -- the caller treats a dead budget as a
-    miss.  An empty ``priority`` (vertex -> tie-break rank) is filled if m > 0
-    and the level is not refuted up front.  ``pool`` and ``dock`` come from
-    ``_masks``; neither depends on m.
+    miss.  An empty ``priority`` (vertex -> tie-break rank) is filled, in
+    O(n), if m > 0 and the level is not refuted up front.  ``pool`` and
+    ``dock`` come from ``_masks``; neither depends on m.
     """
     k = req.k
     adj = g.adj
@@ -84,9 +84,10 @@ def _search(g: Graph, req: ConnectRequest, m: int, budget: _Budget,
            for i in range(k - m) for t in range(m + i, k)):
         return None
     if m and not priority:   # rank of each vertex in the seeded shuffle
-        order = list(range(g.n))
-        SplitMix64(req.seed).shuffle(order)
-        priority.extend(sorted(range(g.n), key=order.__getitem__))
+        priority.extend(range(g.n))
+        SplitMix64(req.seed).shuffle(priority)
+        for rank, v in enumerate(priority[:]):
+            priority[v] = rank
     seq = list(req.x_end)
 
     def rec(depth: int, used: int) -> Optional[tuple[int, ...]]:

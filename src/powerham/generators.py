@@ -3,10 +3,10 @@
 All randomness flows through the package RNG with one draw per candidate
 pair, taken in lexicographic pair order, so any port that matches the RNG
 reference vectors reproduces these graphs bit for bit.  The random families
-share one kernel, ``_draw_rows``: it inlines ``SplitMix64.next_u64`` and
-keeps a pair iff its word u < ceil(p_num * 2**64 / q), which for an integer
-u is exactly ``chance(p)``'s rule u * q < p_num * 2**64, hoisted out of the
-pair loop; so a build costs one cheap step per pair plus O(n) per row.
+share one kernel, ``_draw_rows``: one ``SplitMix64.words`` call per row,
+and a pair is kept iff its word u < ceil(p_num * 2**64 / q), for integer u
+exactly ``chance(p)``'s rule u * q < p_num * 2**64 hoisted out of the pair
+loop; so a build costs O(n) big-int work per row plus one compare per pair.
 
 The two named structured families mirror the standard witnesses for the
 difference between uniform density and inseparability: two large cliques
@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 from powerham.errors import InputError
 from powerham.graph import Graph
-from powerham.rng import _GAMMA, _MASK64, _MIX1, _MIX2
+from powerham.rng import SplitMix64
 
 
 @dataclass(frozen=True)
@@ -48,26 +48,22 @@ def _draw_rows(n: int, p: Fraction, seed: int,
     """Rows of the graph that keeps pair (u, v), for each (u, lo) of `spans`
     and each v in [lo, n), iff that pair's draw passes ``chance(p)``.
 
-    One draw per pair in the order given, from ``SplitMix64(seed)``.  Row
-    u's bits v >= lo fill one ASCII row; the mirror bit u of row v goes to
-    a packed ``back`` row, so the build holds n^2 / 8 bytes, as the rows do.
+    One draw per pair in the order given, one ``SplitMix64(seed).words`` call
+    per row.  Row u's bits v >= lo fill one ASCII row; the mirror bit u of
+    row v goes to a packed ``back`` row, so the build holds n^2 / 8 bytes.
     """
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise InputError("p must lie in [0, 1]")
     keep = -(-(p.numerator << 64) // p.denominator)   # ceil(p_num 2**64 / q)
-    state = seed & _MASK64
-    gamma, mix1, mix2, mask = _GAMMA, _MIX1, _MIX2, _MASK64
+    rng = SplitMix64(seed)
     ahead = [0] * n
     back = [bytearray((n + 7) >> 3) for _ in range(n)]   # little-endian bits
     for u, lo in spans:
         digits = bytearray(b"0") * n   # digits[v] is bit v
         at, bit = u >> 3, 1 << (u & 7)
-        for v in range(lo, n):
-            state = (state + gamma) & mask
-            z = ((state ^ (state >> 30)) * mix1) & mask
-            z = ((z ^ (z >> 27)) * mix2) & mask
-            if (z ^ (z >> 31)) < keep:
+        for v, w in zip(range(lo, n), rng.words(n - lo)):
+            if w < keep:
                 digits[v] = 49   # ord("1")
                 back[v][at] |= bit
         ahead[u] = int(digits[::-1], 2)

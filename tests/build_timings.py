@@ -3,14 +3,18 @@
     python3 tests/build_timings.py            # this checkout's src/
     python3 tests/build_timings.py OTHER/src  # for example a parent copy
 
-Each line gives one case's median wall seconds over its repeats:
+The first line gives the peak bytes that ``tracemalloc`` saw while
+``gnp(2000, 3/4, 0)`` was built, first thing in the process.  Then each
+line gives one case's median wall milliseconds over its repeats:
 ``gnp(600, 3/4, 0)``, ``gnp(2000, 3/4, 0)``, re-validating
 the rows of that graph with ``Graph(n, rows)``, ``Graph.complete(5000)``,
-``Graph(MAX_VERTICES, (0,) * MAX_VERTICES)`` and ``from_text`` on the
-16 MB text of ``gnp(2000, 3/4, 0)``.  The last line gives the peak bytes
-that ``tracemalloc`` saw while the n = 2000 rows were validated, next to
-the n * n bytes an O(n^2) structure would take.  It takes 10-60 s on a
-2-CPU machine.  The file name keeps pytest from
+``Graph(MAX_VERTICES, (0,) * MAX_VERTICES)``, ``from_text`` on the
+16 MB text of ``gnp(2000, 3/4, 0)``, and ``rank(300)`` and ``rank(600)``:
+the tie-break order ``connector.connect`` draws on n vertices, a
+``SplitMix64(seed).shuffle`` of range(n) and its inverse.  The last line
+gives the peak bytes that ``tracemalloc`` saw while the n = 2000 rows were
+validated, next to the n * n bytes an O(n^2) structure would take.  It
+takes 10-60 s on a 2-CPU machine.  The file name keeps pytest from
 collecting it.
 """
 
@@ -35,17 +39,38 @@ def seconds(fn, repeats: int) -> float:
     return statistics.median(runs)
 
 
+def peak_bytes(fn):
+    """(fn(), the peak bytes tracemalloc saw while fn ran)."""
+    tracemalloc.start()
+    out = fn()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return out, peak
+
+
+def rank(rng_class, n: int) -> list[int]:
+    """Vertex -> rank in a seeded shuffle of range(n), as ``connect`` ranks."""
+    order = list(range(n))
+    rng_class(1729).shuffle(order)
+    priority = [0] * n
+    for r, v in enumerate(order):
+        priority[v] = r
+    return priority
+
+
 def main(argv: list[str]) -> int:
     src = Path(argv[0]) if argv else Path(__file__).resolve().parents[1] / "src"
     src = src.resolve()
     sys.path.insert(0, str(src))
     from powerham.generators import gnp
     from powerham.graph import MAX_VERTICES, Graph, from_text, to_text
+    from powerham.rng import SplitMix64
     import powerham
     if src not in Path(powerham.__file__).resolve().parents:
         sys.exit(f"powerham was imported from {powerham.__file__}, not {src}")
 
-    big = gnp(2000, P, 0)
+    big, peak = peak_bytes(lambda: gnp(2000, P, 0))
+    print(f"{'gnp(2000) peak':24s} {peak:10d} B")
     text = to_text(big)
     cases = [
         ("gnp(600)", lambda: gnp(600, P, 0), 3),
@@ -55,14 +80,13 @@ def main(argv: list[str]) -> int:
         ("edgeless(MAX_VERTICES)",
          lambda: Graph(MAX_VERTICES, (0,) * MAX_VERTICES), 3),
         ("from_text(2000)", lambda: from_text(text), 1),
+        ("rank(300)", lambda: rank(SplitMix64, 300), 301),
+        ("rank(600)", lambda: rank(SplitMix64, 600), 301),
     ]
     for name, fn, repeats in cases:
-        print(f"{name:24s} {seconds(fn, repeats):8.3f} s")
-    tracemalloc.start()
-    Graph(big.n, big.adj)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    print(f"{'validate(2000) peak':24s} {peak:8d} B  (n*n = {big.n ** 2} B)")
+        print(f"{name:24s} {seconds(fn, repeats) * 1e3:10.3f} ms")
+    _, peak = peak_bytes(lambda: Graph(big.n, big.adj))
+    print(f"{'validate(2000) peak':24s} {peak:10d} B  (n*n = {big.n ** 2} B)")
     return 0
 
 

@@ -158,6 +158,17 @@ def per_pair_rows(n, p, seed, bipartite=False):
     return tuple(rows)
 
 
+def per_word_shuffle(rng, items):
+    """``SplitMix64.shuffle`` drawing one ``below`` word per swap.
+
+    This is the generator's former shuffle, kept as its reference:
+    Fisher-Yates from the top index down, partner ``below(i + 1)``.
+    """
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.below(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
 def first_asymmetric_pair(rows):
     """The first (v, u), v then u ascending, with u in row v but not v in
     row u; None when the rows are symmetric.  Reads one bit per pair."""
@@ -175,6 +186,8 @@ def eager_connect(g, req):
     Unlike the rest of this file it runs the code under test: the same
     ``powerham.connector._search``, handed a full rank table, so a
     difference from ``connect`` can only come from when the order is drawn.
+    It also draws that order with ``SplitMix64.shuffle`` itself, so it does
+    not check the shuffle; ``per_word_shuffle`` does.
     """
     from powerham.connector import _Budget, _masks, _search
     from powerham.pathcover import KPath
