@@ -9,17 +9,19 @@ Docking is exact by construction: a level whose fixed (x_end, y_end) pairs
 within distance k are not all edges is refuted before any node is spent,
 and every inner vertex must see the prefix of the target it lies within k
 of, so every leaf the search reaches docks.  Ties break by a vertex order
-shuffled from the request seed when the first search with an inner vertex
-starts, so a call that docks with none (common at k = 1) never draws it.
+shuffled from the request seed once a node has two candidates, so a call
+whose nodes never have a choice (common at k = 1) never draws it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Optional
 
 from powerham.errors import InputError
-from powerham.graph import Graph, is_clique, iter_bits, mask_of
+from powerham.graph import (Graph, common_neighborhood_mask, is_clique,
+                            iter_bits, mask_of)
 from powerham.pathcover import KPath
 from powerham.rng import SplitMix64
 
@@ -50,19 +52,9 @@ class ConnectRequest:
             raise InputError("min_inner must lie in [0, max_inner]")
 
 
+@dataclass
 class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, limit):
-        self.left = limit
-
-    def spend(self) -> bool:
-        if self.left is None:
-            return True
-        if self.left <= 0:
-            return False
-        self.left -= 1
-        return True
+    left: Optional[int]   # DFS nodes left; None = unbounded
 
 
 def _search(g: Graph, req: ConnectRequest, m: int, budget: _Budget,
@@ -70,49 +62,72 @@ def _search(g: Graph, req: ConnectRequest, m: int, budget: _Budget,
             ) -> Optional[tuple[int, ...]]:
     """DFS for a connection with exactly m inner vertices.
 
-    Returns a vertex tuple; None when the space is exhausted, and raises
-    nothing on budget exhaustion -- the caller treats a dead budget as a
-    miss.  An empty ``priority`` (vertex -> tie-break rank) is filled, in
-    O(n), if m > 0 and the level is not refuted up front.  ``pool`` and
-    ``dock`` come from ``_masks``; neither depends on m.
+    Returns a vertex tuple, or None once the space or the budget is spent.
+    The budget counts nodes, prefixes with fewer than m inner vertices:
+    one unit of ``budget.left`` each, written back once.  Candidates go
+    ``prefer_inner`` first, then by ``priority`` (vertex -> shuffle rank),
+    filled in O(n) if empty at the first node with two candidates.
     """
-    k = req.k
-    adj = g.adj
+    k, adj, y_end = req.k, g.adj, req.y_end
     # x_end[t] and y_end[i] lie within distance k iff t >= m + i; no inner
     # vertex changes these pairs, so one non-edge refutes the whole level
-    if any(not adj[req.y_end[i]] >> req.x_end[t] & 1
+    if any(not adj[y_end[i]] >> req.x_end[t] & 1
            for i in range(k - m) for t in range(m + i, k)):
         return None
-    if m and not priority:   # rank of each vertex in the seeded shuffle
-        priority.extend(range(g.n))
-        SplitMix64(req.seed).shuffle(priority)
-        for rank, v in enumerate(priority[:]):
-            priority[v] = rank
-    seq = list(req.x_end)
+    if not m:
+        return (*req.x_end, *y_end)
+    left = inf if budget.left is None else budget.left - 1   # pay for the root
+    if left < 0:
+        return None
+    seq = list(req.x_end) + [0] * m
+    # inner vertex i (from 1) must see y_end[:i + k - m] (dock[0] = V)
+    docks = [dock[min(max(i + k - m, 0), k)] for i in range(m + 1)]
+    table: list[int] = []   # vertex -> sort key, built on first use
 
-    def rec(depth: int, used: int) -> Optional[tuple[int, ...]]:
-        if depth == m:
-            return tuple(seq) + tuple(req.y_end)
-        if not budget.spend():
-            return None
-        win = pool & ~used
-        for v in seq[-k:]:
-            win &= adj[v]
-        # inner vertices close to the dock must already see its prefix
-        j = depth + 1 + k - m
-        if j >= 1:
-            win &= dock[min(j, k)]
-        cands = sorted(iter_bits(win),
-                       key=lambda v: (not req.prefer_inner >> v & 1, priority[v]))
+    def rank() -> None:
+        if not priority:
+            priority.extend(range(g.n))
+            SplitMix64(req.seed).shuffle(priority)
+            for r, v in enumerate(priority[:]):
+                priority[v] = r
+        table.extend(priority)
+        for v in iter_bits(req.prefer_inner & pool):
+            table[v] -= g.n
+
+    def rec(i: int, free: int, win: int) -> Optional[tuple[int, ...]]:
+        # a paid node, candidates win != 0; a child with none is not entered
+        nonlocal left
+        cands = []
+        while win:
+            low = win & -win
+            cands.append(low.bit_length() - 1)
+            win ^= low
+        if len(cands) > 1:
+            if not table:
+                rank()
+            if i == m:   # the first candidate's child is the answer
+                return (*seq[:-1], min(cands, key=table.__getitem__), *y_end)
+            cands.sort(key=table.__getitem__)
+        elif i == m:
+            return (*seq[:-1], cands[0], *y_end)
+        common = free & docks[i + 1]
+        for u in seq[i:k + i - 1]:
+            common &= adj[u]
         for v in cands:
-            seq.append(v)
-            got = rec(depth + 1, used | 1 << v)
-            seq.pop()
-            if got is not None:
+            if left <= 0:
+                return None
+            left -= 1
+            seq[k + i - 1] = v
+            win = common & adj[v]
+            if win and (got := rec(i + 1, free ^ 1 << v, win)):
                 return got
         return None
 
-    return rec(0, 0)
+    win = pool & docks[1] & common_neighborhood_mask(g, req.x_end)
+    got = rec(1, pool, win) if win else None
+    del rec   # rec's closure holds rec: free the cycle now, not at a GC pass
+    budget.left = None if left == inf else left
+    return got
 
 
 def _masks(g: Graph, req: ConnectRequest) -> tuple[int, list[int]]:
@@ -129,7 +144,7 @@ def _masks(g: Graph, req: ConnectRequest) -> tuple[int, list[int]]:
 
 def connect(g: Graph, req: ConnectRequest) -> Optional[KPath]:
     """Shortest-inner-count connection between the two ordered ends; ties
-    break by a ``req.seed`` shuffle drawn once a search needs inner vertices."""
+    break by a ``req.seed`` shuffle drawn once a node has two candidates."""
     req._validate(g)
     priority: list[int] = []
     budget = _Budget(req.node_budget)

@@ -5,7 +5,8 @@
 
 The first line gives the peak bytes that ``tracemalloc`` saw while
 ``gnp(2000, 3/4, 0)`` was built, first thing in the process.  Then each
-line gives one case's median wall milliseconds over its repeats:
+line gives one case's median wall milliseconds over its repeats (at least
+3), and their min..max beside it:
 ``gnp(600, 3/4, 0)``, ``gnp(2000, 3/4, 0)``, re-validating
 the rows of that graph with ``Graph(n, rows)``, ``Graph.complete(5000)``,
 ``Graph(MAX_VERTICES, (0,) * MAX_VERTICES)``, ``from_text`` on the
@@ -14,8 +15,8 @@ the tie-break order ``connector.connect`` draws on n vertices, a
 ``SplitMix64(seed).shuffle`` of range(n) and its inverse.  The last line
 gives the peak bytes that ``tracemalloc`` saw while the n = 2000 rows were
 validated, next to the n * n bytes an O(n^2) structure would take.  It
-takes 10-60 s on a 2-CPU machine.  The file name keeps pytest from
-collecting it.
+took 20 s on a 2-CPU machine, most of it the three ``from_text`` runs.
+The file name keeps pytest from collecting it.
 """
 
 from __future__ import annotations
@@ -30,13 +31,13 @@ from pathlib import Path
 P = Fraction(3, 4)
 
 
-def seconds(fn, repeats: int) -> float:
+def seconds(fn, repeats: int) -> list[float]:
     runs = []
     for _ in range(repeats):
         t = time.perf_counter()
         fn()
         runs.append(time.perf_counter() - t)
-    return statistics.median(runs)
+    return runs
 
 
 def peak_bytes(fn):
@@ -74,17 +75,19 @@ def main(argv: list[str]) -> int:
     text = to_text(big)
     cases = [
         ("gnp(600)", lambda: gnp(600, P, 0), 3),
-        ("gnp(2000)", lambda: gnp(2000, P, 0), 1),
+        ("gnp(2000)", lambda: gnp(2000, P, 0), 3),
         ("validate(2000)", lambda: Graph(big.n, big.adj), 3),
-        ("complete(5000)", lambda: Graph.complete(5000), 1),
+        ("complete(5000)", lambda: Graph.complete(5000), 3),
         ("edgeless(MAX_VERTICES)",
          lambda: Graph(MAX_VERTICES, (0,) * MAX_VERTICES), 3),
-        ("from_text(2000)", lambda: from_text(text), 1),
+        ("from_text(2000)", lambda: from_text(text), 3),
         ("rank(300)", lambda: rank(SplitMix64, 300), 301),
         ("rank(600)", lambda: rank(SplitMix64, 600), 301),
     ]
     for name, fn, repeats in cases:
-        print(f"{name:24s} {seconds(fn, repeats) * 1e3:10.3f} ms")
+        ms = [s * 1e3 for s in seconds(fn, repeats)]
+        print(f"{name:24s} {statistics.median(ms):10.3f} ms"
+              f"  ({min(ms):.3f}..{max(ms):.3f})")
     _, peak = peak_bytes(lambda: Graph(big.n, big.adj))
     print(f"{'validate(2000) peak':24s} {peak:10d} B  (n*n = {big.n ** 2} B)")
     return 0

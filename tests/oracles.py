@@ -210,6 +210,75 @@ def eager_connect(g, req):
     return None
 
 
+class Budget:
+    """``connector``'s former node budget: ``spend`` once per DFS node."""
+
+    __slots__ = ("left",)
+
+    def __init__(self, limit):
+        self.left = limit
+
+    def spend(self) -> bool:
+        if self.left is None:
+            return True
+        if self.left <= 0:
+            return False
+        self.left -= 1
+        return True
+
+
+def recursive_search(g, req, m, budget, priority, pool, dock):
+    """``connector._search`` as it was before its nodes were made cheap.
+
+    Same contract and arguments, with a ``Budget`` whose ``spend`` each
+    node calls: candidates come from ``iter_bits`` and are sorted by a
+    ``(not preferred, rank)`` tuple per candidate, and an empty
+    ``priority`` is filled as soon as a level with m > 0 is not refuted.
+    Like ``eager_connect`` it runs ``SplitMix64.shuffle`` and ``iter_bits``
+    from the code under test; it checks the DFS, not those.
+    """
+    from powerham.graph import iter_bits
+    from powerham.rng import SplitMix64
+
+    k = req.k
+    adj = g.adj
+    # x_end[t] and y_end[i] lie within distance k iff t >= m + i; no inner
+    # vertex changes these pairs, so one non-edge refutes the whole level
+    if any(not adj[req.y_end[i]] >> req.x_end[t] & 1
+           for i in range(k - m) for t in range(m + i, k)):
+        return None
+    if m and not priority:   # rank of each vertex in the seeded shuffle
+        priority.extend(range(g.n))
+        SplitMix64(req.seed).shuffle(priority)
+        for rank, v in enumerate(priority[:]):
+            priority[v] = rank
+    seq = list(req.x_end)
+
+    def rec(depth, used):
+        if depth == m:
+            return tuple(seq) + tuple(req.y_end)
+        if not budget.spend():
+            return None
+        win = pool & ~used
+        for v in seq[-k:]:
+            win &= adj[v]
+        # inner vertices close to the dock must already see its prefix
+        j = depth + 1 + k - m
+        if j >= 1:
+            win &= dock[min(j, k)]
+        cands = sorted(iter_bits(win),
+                       key=lambda v: (not req.prefer_inner >> v & 1, priority[v]))
+        for v in cands:
+            seq.append(v)
+            got = rec(depth + 1, used | 1 << v)
+            seq.pop()
+            if got is not None:
+                return got
+        return None
+
+    return rec(0, 0)
+
+
 def recursive_match(xs, usable):
     """``absorber._match`` as a recursive augmenting-path search.
 

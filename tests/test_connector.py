@@ -10,7 +10,8 @@ from powerham.generators import gnp
 from powerham.graph import Graph, list_cliques, mask_of
 from powerham.pathcover import is_valid_kpath
 
-from oracles import eager_connect, oracle_connection_count, oracle_is_kpath
+from oracles import (Budget, eager_connect, oracle_connection_count,
+                     oracle_is_kpath, recursive_search)
 
 
 def two_disjoint_cliques(g, k):
@@ -187,3 +188,72 @@ def test_lazy_order_matches_eager_order(n, p, gseed, k, data):
         node_budget=data.draw(st.one_of(st.none(), st.integers(0, 40))),
         min_inner=data.draw(st.integers(0, max_inner)))
     assert connect(g, req) == eager_connect(g, req)
+
+
+def test_search_with_single_candidates_draws_no_order():
+    # the square of a path on 6 vertices: from (0, 1) to (4, 5) every node
+    # has one candidate, so the search never ranks and never shuffles
+    g = Graph.from_edges(6, [(u, v) for u in range(6)
+                             for v in range(u + 1, min(u + 3, 6))])
+    req = ConnectRequest((0, 1), (4, 5), k=2, max_inner=2, seed=7)
+    budget, priority = _Budget(None), []
+    got = _search(g, req, 2, budget, priority, *_masks(g, req))
+    assert got == (0, 1, 2, 3, 4, 5) and priority == []
+    budget = _Budget(5)
+    assert _search(g, req, 2, budget, priority, *_masks(g, req)) == got
+    assert budget.left == 3 and priority == []
+    assert connect(g, req).vertices == got
+
+
+# ------------------------------------------------------ recursive search
+
+def _same_search(g, req, m, limit, priority):
+    """Run ``_search`` and the recursive oracle on copies of one state;
+    assert the same answer and the same nodes spent, return the answer."""
+    pool, dock = _masks(g, req)
+    budget, want_budget = _Budget(limit), Budget(limit)
+    got_order, want_order = list(priority), list(priority)
+    got = _search(g, req, m, budget, got_order, pool, dock)
+    want = recursive_search(g, req, m, want_budget, want_order, pool, dock)
+    assert got == want
+    assert budget.left == want_budget.left
+    assert got_order in ([], want_order)
+    return got
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(5, 14), st.sampled_from([Fraction(1, 2), Fraction(3, 4)]),
+       st.integers(0, 2 ** 32), st.integers(1, 3), st.integers(0, 5),
+       st.sampled_from([None, 0, 1, 2, 7, 50]), st.booleans(), st.data())
+def test_search_matches_recursive_search(n, p, gseed, k, m, limit, eager,
+                                         data):
+    g = gnp(n, p, gseed)
+    cliques = list(list_cliques(g, k))
+    if not cliques:
+        return
+    x = data.draw(st.sampled_from(cliques))
+    rest = [c for c in cliques if not set(c) & set(x)]
+    if not rest:
+        return
+    y = data.draw(st.permutations(data.draw(st.sampled_from(rest))))
+    masks = st.integers(0, (1 << n) - 1)
+    req = ConnectRequest(
+        tuple(data.draw(st.permutations(x))), tuple(y), k=k, max_inner=5,
+        allowed_inner=data.draw(st.one_of(st.none(), masks)),
+        prefer_inner=data.draw(masks),
+        seed=data.draw(st.integers(0, 2 ** 64 - 1)))
+    # a bare shuffle-rank table, as eager_connect hands one, or none yet
+    priority = data.draw(st.permutations(range(n))) if eager else []
+    _same_search(g, req, m, limit, priority)
+
+
+def test_search_budget_dies_mid_level():
+    # found at the 14th node: 13 nodes cut the level short, 14 just do
+    g = gnp(14, Fraction(1, 2), 0)
+    req = ConnectRequest((0, 2), (3, 4), k=2, max_inner=5, seed=3)
+    path = _same_search(g, req, 5, None, [])
+    assert path == (0, 2, 5, 13, 12, 9, 11, 3, 4)
+    for limit in (2, 7, 13):
+        assert _same_search(g, req, 5, limit, []) is None
+    assert _same_search(g, req, 5, 14, []) == path
+    assert _same_search(g, req, 5, 15, []) == path
