@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 from math import ceil
 from typing import Iterable
@@ -228,28 +227,21 @@ class AbsorbingPath:
     member_ids: tuple[int, ...]
     starts: tuple[int, ...]
 
-    @property
-    def k(self) -> int:
-        return self.path.k
-
     def segment(self, i: int) -> tuple[int, ...]:
         s = self.starts[i]
         return self.path.vertices[s : s + 2 * self.path.k]
 
-    @cached_property
-    def _segment_masks(self) -> tuple[int, ...]:
-        return tuple(mask_of(self.segment(i)) for i in range(len(self.starts)))
-
-    def hosts(self, g: Graph, v: int) -> list[int]:
-        """Segments that can host v: those whose 2k vertices v all sees."""
-        row = g.adj[v]
-        return [i for i, sm in enumerate(self._segment_masks) if row & sm == sm]
+    def host_masks(self, g: Graph) -> tuple[int, ...]:
+        """Per segment, the vertices it can host: those adjacent to all 2k
+        of its vertices (its common neighbourhood)."""
+        return tuple(common_neighborhood_mask(g, self.segment(i))
+                     for i in range(len(self.starts)))
 
     def hostable(self, g: Graph) -> int:
         """Mask of the vertices some segment can host."""
         out = 0
-        for i in range(len(self.starts)):
-            out |= common_neighborhood_mask(g, self.segment(i))
+        for h in self.host_masks(g):
+            out |= h
         return out
 
 
@@ -373,7 +365,8 @@ def absorb(g: Graph, pa: AbsorbingPath, x_set: Iterable[int]) -> KPath:
             raise InputError(f"vertex {v} already lies on the path")
 
     k = pa.path.k
-    usable = {v: pa.hosts(g, v) for v in xs}
+    hosts = pa.host_masks(g)
+    usable = {v: [i for i, h in enumerate(hosts) if h >> v & 1] for v in xs}
 
     matched, spill = _match(xs, usable)
     groups = {i: [v] for i, v in matched.items()}

@@ -190,15 +190,6 @@ class Graph:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def induced(self, keep: Iterable[int]) -> "Graph":
-        """Induced subgraph on `keep`, relabeled to 0..|keep|-1 ascending."""
-        kept = sorted(set(keep))
-        pos = {v: i for i, v in enumerate(kept)}
-        inside = mask_of(kept)
-        return Graph(len(kept), tuple(
-            _row(len(kept), [pos[u] for u in iter_bits(self.adj[v] & inside)])
-            for v in kept))
-
 
 def common_neighborhood_mask(g: Graph, verts: Iterable[int]) -> int:
     """Mask of the vertices adjacent to all of `verts` (V when it is empty)."""
@@ -226,13 +217,6 @@ def is_clique(g: Graph, verts: Iterable[int]) -> bool:
     return True
 
 
-def _pool(g: Graph, within: int | Iterable[int] | None) -> int:
-    """`within` as a vertex mask: a bitmask or vertices; None means all of V."""
-    if within is None:
-        return g.full_mask()
-    return (within if isinstance(within, int) else mask_of(within)) & g.full_mask()
-
-
 def list_cliques(g: Graph, k: int, within: int | Iterable[int] | None = None
                  ) -> Iterator[tuple[int, ...]]:
     """Yield the k-cliques inside `within` as ascending tuples, lex order.
@@ -242,7 +226,9 @@ def list_cliques(g: Graph, k: int, within: int | Iterable[int] | None = None
     """
     if k < 0:
         raise InputError("clique order must be >= 0")
-    pool = _pool(g, within)
+    pool = g.full_mask()
+    if within is not None:
+        pool &= within if isinstance(within, int) else mask_of(within)
     if k == 0:
         yield ()
         return
@@ -266,29 +252,8 @@ def list_cliques(g: Graph, k: int, within: int | Iterable[int] | None = None
 
 def count_cliques(g: Graph, k: int, within: int | Iterable[int] | None = None
                   ) -> int:
-    """Number of unordered k-cliques (exact, arbitrary precision)."""
-    if k < 0:
-        raise InputError("clique order must be >= 0")
-    if k == 0:
-        return 1
-    pool = _pool(g, within)
-    adj = g.adj
-
-    def rec(depth: int, cand: int) -> int:
-        if depth == k:
-            return 1
-        if cand.bit_count() < k - depth:
-            return 0
-        total = 0
-        m = cand
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            total += rec(depth + 1, cand & adj[v] & ~((low << 1) - 1))
-        return total
-
-    return rec(0, pool)
+    """Number of unordered k-cliques: the length of ``list_cliques``."""
+    return sum(1 for _ in list_cliques(g, k, within))
 
 
 def count_ordered_cliques(g: Graph, k: int) -> int:

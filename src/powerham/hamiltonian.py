@@ -123,7 +123,8 @@ def brute_force_oracle(g: Graph, k: int) -> Optional[Certificate]:
 
     Backtracking over cyclic orderings anchored at vertex 0; a candidate
     must be adjacent to the last k placed vertices, and near the end also
-    to the vertices it will wrap onto.  Mirror orderings are cut at the
+    to the placed vertices it will wrap onto (all of them once k >= n - 1,
+    so only a complete graph passes).  Mirror orderings are cut at the
     leaves, which is safe because the search generates both directions.
     """
     if k < 1:
@@ -150,7 +151,7 @@ def brute_force_oracle(g: Graph, k: int) -> Optional[Certificate]:
         for i in range(max(0, p - k), p):
             cand &= g.adj[order[i]]
         # wraparound: positions past n-k close pairs with the first ones
-        for j in range(0, p + k - n + 1):
+        for j in range(min(p, p + k - n + 1)):
             cand &= g.adj[order[j]]
         while cand:
             v = (cand & -cand).bit_length() - 1
@@ -503,6 +504,10 @@ def _run_pipeline(g: Graph, cfg: PipelineConfig,
     return PipelineResult(cert, report)
 
 
+def _no_room(k: int) -> str:
+    return f"n < 4k leaves no room for two disjoint {2 * k}-clique absorbers"
+
+
 def find_hamiltonian_power(g: Graph, cfg: PipelineConfig) -> PipelineResult:
     """Run the staged search; the result always carries a stage report.
 
@@ -517,7 +522,7 @@ def find_hamiltonian_power(g: Graph, cfg: PipelineConfig) -> PipelineResult:
     timings: dict = {}
     with _timed(timings, "setup"):
         cert = brute_force_oracle(g, k) if n <= ORACLE_CAP else None
-    why = f"n < 4k leaves no room for two disjoint {2 * k}-clique absorbers"
+    why = _no_room(k)
     note = (f"{why}; answered by the brute-force oracle" if n <= ORACLE_CAP
             else f"refused: {why}, and n exceeds the oracle cap {ORACLE_CAP}")
     report = StageReport(n, k, 0, None if cert else "absorbing_path", {},
@@ -543,7 +548,8 @@ def find_with_hitting_sets(g: Graph, cfg: PipelineConfig,
 
     Each requested set contributes at least one clique stitched onto the
     absorbing path, so the final cycle carries k-windows inside every set;
-    the tallies report how many.
+    the tallies report how many.  Below 4k vertices, where stage 1 has no
+    room, valid sets are refused with no attempt and a note saying why.
     """
     if len(sets) > MAX_HITTING_SETS:
         raise SizeError(f"at most {MAX_HITTING_SETS} sets are supported")
@@ -555,6 +561,9 @@ def find_with_hitting_sets(g: Graph, cfg: PipelineConfig,
             raise InputError(f"set {i} leaves the vertex range")
         if len(s) < 2 * k:
             raise InputError(f"set {i} is smaller than 2k")
+    if 2 <= g.n < 4 * k:
+        return PipelineResult(None, StageReport(
+            g.n, k, 0, "absorbing_path", {}, {}, (f"refused: {_no_room(k)}",)))
     threshold = ceil(ZETA * g.n)
     hitting: list[list[tuple[int, ...]]] = []
     for i, s in enumerate(sets):

@@ -86,17 +86,6 @@ class PairedDensenessReport:
     witness_y: tuple[int, ...]
     pair_count: int  # ordered edge pairs across the witness
 
-    def to_json_dict(self) -> dict:
-        return {"mode": "exact", "d": str(self.d),
-                "rho_star": str(self.rho_star),
-                "witness_x": list(self.witness_x),
-                "witness_y": list(self.witness_y),
-                "pair_count": self.pair_count}
-
-
-def min_degree(g: Graph) -> int:
-    return min(row.bit_count() for row in g.adj)
-
 
 def _gray_flip(step: int) -> int:
     """Index of the bit that flips between Gray codes of step-1 and step."""

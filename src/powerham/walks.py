@@ -51,10 +51,6 @@ class DeltaSchedule:
     delta: tuple[Fraction, ...]  # delta[0..L]
     c: Fraction
 
-    @property
-    def half_level(self) -> int:
-        return floor(4 / self.mu)
-
 
 def count_walks(g: Graph, x: int, l_max: int) -> WalkCountTable:
     """Exact (x,v)-walk counts for every inner-vertex count up to l_max."""

@@ -197,9 +197,14 @@ def test_hostable_is_every_vertex_some_segment_hosts(n, gseed, k, data):
                                 min_size=1, unique=True))
     pa = AbsorbingPath(KPath(k, tuple(order[:length])),
                        tuple(range(len(starts))), tuple(starts))
+    hosts = [[v for v in range(n)
+              if all(g.has_edge(v, u) for u in order[s:s + 2 * k])]
+             for s in starts]
+    assert [[v for v in range(n) if h >> v & 1]
+            for h in pa.host_masks(g)] == hosts
     hostable = pa.hostable(g)
     assert [v for v in range(n) if hostable >> v & 1] == \
-        [v for v in range(n) if pa.hosts(g, v)]
+        sorted({v for vs in hosts for v in vs})
 
 
 def test_sample_family_grows_about_one_clique_per_member():

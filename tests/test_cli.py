@@ -326,6 +326,19 @@ def test_oracle_json_shapes(tmp_path, capsys):
     assert code == 1 and out == {"certificate": None}
 
 
+def test_find_and_oracle_accept_k_above_n(tmp_path, capsys):
+    gpath = graph_file(tmp_path, Graph.complete(3))
+    assert run(["find", gpath, "-k", "5", "--json"]) == 0
+    found = tmp_path / "cert.json"
+    found.write_text(capsys.readouterr().out)
+    code, out = run_json(capsys, ["verify", gpath, "-k", "5",
+                                  "--certificate", str(found), "--json"])
+    assert code == 0 and out == {"ok": True, "violation": None}
+    code, out = run_json(capsys, ["oracle", gpath, "-k", "5", "--json"])
+    assert code == 0 and out == {"certificate": {"k": 5,
+                                                 "ordering": [0, 1, 2]}}
+
+
 def test_oracle_size_cap_is_usage_error(tmp_path):
     path = graph_file(tmp_path, Graph.complete(15))
     assert run(["oracle", path, "-k", "1"]) == 2

@@ -10,6 +10,7 @@ from powerham.errors import (InfeasibleSetError, InputError, PowerhamError,
                              SizeError)
 from powerham.generators import (clique_complement, complete_multipartite,
                                  gnp)
+import powerham.generators
 from powerham import hamiltonian
 from powerham.graph import Graph, is_clique
 from powerham.hamiltonian import (STAGES, Certificate, PipelineConfig,
@@ -20,6 +21,7 @@ from powerham.hamiltonian import (STAGES, Certificate, PipelineConfig,
                                   find_with_hitting_sets, verify,
                                   window_tallies)
 
+import hash_panel
 from oracles import oracle_power_ham_cycle
 
 
@@ -118,6 +120,23 @@ def test_oracle_tiny_instances():
     assert brute_force_oracle(Graph.from_edges(2, []), 1) is None
 
 
+def test_oracle_needs_a_complete_graph_once_k_reaches_half_n():
+    # every pair lies at cyclic distance <= n // 2 <= k, so exactly the
+    # complete graphs qualify, however far k runs past n
+    for n in range(1, 9):
+        full = Graph.complete(n)
+        graphs = [full] + [gnp(n, Fraction(4, 5), s) for s in range(3)]
+        if n >= 2:   # one edge short of complete
+            graphs.append(Graph.from_edges(n, [
+                e for e in combinations(range(n), 2) if e != (0, n - 1)]))
+        for g in graphs:
+            for k in range(max(1, n // 2), 2 * n + 3):
+                cert = brute_force_oracle(g, k)
+                assert (cert is not None) == (g == full), (n, k, g.adj)
+                if cert is not None:
+                    assert oracle_power_ham_cycle(g, cert.ordering, k)
+
+
 def test_oracle_input_checks():
     with pytest.raises(InputError):
         brute_force_oracle(Graph.complete(3), 0)
@@ -190,12 +209,18 @@ def test_graphs_below_4k_vertices_past_the_oracle_cap_are_refused():
     assert res.report.notes[0].startswith("refused")
 
 
-def test_hitting_sets_keep_attempting_below_4k_vertices():
+def test_hitting_sets_below_4k_vertices_are_refused():
     res = find_with_hitting_sets(Graph.complete(7), PipelineConfig(k=2),
                                  [(0, 1, 2, 3)])
     assert not res.ok
     assert (res.report.attempts, res.report.failed_stage) == \
-        (10, "absorbing_path")
+        (0, "absorbing_path")
+    assert res.report.notes == (
+        "refused: n < 4k leaves no room for two disjoint 4-clique absorbers",)
+    # sets are still validated first
+    with pytest.raises(InputError):
+        find_with_hitting_sets(Graph.complete(7), PipelineConfig(k=2),
+                               [(0, 1, 2)])
 
 
 def test_pipeline_is_deterministic():
@@ -204,6 +229,26 @@ def test_pipeline_is_deterministic():
             for _ in range(2)]
     assert runs[0].certificate == runs[1].certificate
     assert runs[0].report.to_json_dict() == runs[1].report.to_json_dict()
+
+
+def test_seeded_output_matches_pinned_panel_digests():
+    # tests/hash_panel.py but its criterion-5 finds (most of its time); a
+    # change of seeded output in any find moves its section's digest
+    sections, _, _ = hash_panel.digests(powerham, hash_panel.SECTIONS[1:])
+    got = {name: (count, sha.hexdigest())
+           for name, (count, sha) in sections.items()}
+    assert got == {
+        "dense_k3": (4, "66ed07ac9359092cd1759d95a55c9a76"
+                        "24e9e644fd5a92e8f639619b56bf7b2a"),
+        "large_k1": (2, "a160f16027ff0e90ca6cd00f8919513c"
+                        "ceba99ff70fef17bd606052d3779b812"),
+        "retry_k3": (48, "c4ab230e1cb537ac743f16fa0f2b24d8"
+                         "e692c409a10be1410c365d1d195e1a78"),
+        "no_power": (8, "f6715063c0c2ac47db94aecf0c059a24"
+                        "679cf7caabb0e17ee3ffe3f8e56a223d"),
+        "hitting": (2, "b227d90c10d01f63e9c584f4089d450a"
+                       "1cb47b21b28ca007031cb4f7e4f7a734"),
+    }
 
 
 def test_pipeline_rejects_empty_graphs():

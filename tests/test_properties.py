@@ -13,8 +13,7 @@ from powerham.graph import Graph, edges_between, list_cliques
 from powerham.properties import (_random_mask, bipartite_denseness_exact,
                                  denseness_exact, denseness_heuristic,
                                  inseparable_exact, inseparable_heuristic,
-                                 is_connectable, min_degree,
-                                 robustly_matchable_exact)
+                                 is_connectable, robustly_matchable_exact)
 from powerham.rng import SplitMix64
 
 import oracles
@@ -265,16 +264,6 @@ def test_paired_denseness_size_cap():
         bipartite_denseness_exact(Graph.edgeless(17), HALF)
 
 
-# ----------------------------------------------------------- min degree
-
-def test_min_degree_examples():
-    assert min_degree(Graph.complete(5)) == 4
-    star = Graph.from_edges(5, [(0, i) for i in range(1, 5)])
-    assert min_degree(star) == 1
-    g = generators.two_overlapping_cliques(12, Fraction(1, 3))
-    assert min_degree(g) == min(g.degree(v) for v in range(12))
-
-
 # ------------------------------------------------- implication lattice
 
 @settings(max_examples=12, deadline=None)
@@ -282,14 +271,14 @@ def test_min_degree_examples():
 def test_singleton_bound(n, seed):
     g = gnp(n, 0.5, seed)
     mu = inseparable_exact(g).mu_star
-    assert mu <= Fraction(min_degree(g), n - 1)
+    assert mu <= Fraction(min(map(g.degree, range(n))), n - 1)
 
 
 def test_degree_implication():
     for seed in range(4):
         g = gnp(14, 0.85, seed)
         for mu in (Fraction(1, 20), Fraction(1, 10), Fraction(1, 5)):
-            if min_degree(g) >= (HALF + mu) * g.n:
+            if min(map(g.degree, range(g.n))) >= (HALF + mu) * g.n:
                 assert inseparable_exact(g).mu_star >= mu
 
 
@@ -304,7 +293,10 @@ def test_deletion_stability():
             continue
         rng = SplitMix64(seed)
         drop = sorted({rng.below(g.n) for _ in range(cap)})[:cap]
-        h = g.induced(set(range(g.n)) - set(drop))
+        keep = sorted(set(range(g.n)) - set(drop))
+        h = Graph.from_edges(len(keep), [
+            (i, j) for (i, u), (j, v) in combinations(enumerate(keep), 2)
+            if g.has_edge(u, v)])
         assert inseparable_exact(h).mu_star >= (1 - 2 * beta) * mu
 
 

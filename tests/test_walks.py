@@ -74,14 +74,12 @@ def test_delta_schedule_mu_one():
     assert s.delta[0] == 1
     assert s.delta[1] == Fraction(1, 6)
     assert s.delta[4] == Fraction(1, 3) ** 4 * Fraction(1, 2) ** 10
-    assert s.half_level == 4
     assert s.c == Fraction(1, 48) * s.delta[4] ** 2
 
 
 def test_delta_schedule_mu_half():
     s = delta_schedule(Fraction(1, 2))
     assert s.L == 16
-    assert s.half_level == 8
     assert s.delta[8] == Fraction(1, 12) ** 8 * Fraction(1, 2) ** 36
     assert s.c == Fraction(1, 192) * s.delta[8] ** 2
 
