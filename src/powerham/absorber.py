@@ -18,13 +18,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, compress
 from math import ceil
 from typing import Iterable
 
 from .connector import ConnectRequest, connect
 from .errors import AssemblyError, CapacityError, InputError
-from .graph import Graph, common_neighborhood_mask, mask_of, nth_bit
+from .graph import (_DIGITS, Graph, common_neighborhood_mask, iter_bits,
+                    mask_of, nth_bit)
 # unused here, but perfbench/spans.py traces clique listing at this binding
 from .graph import list_cliques  # noqa: F401
 from .pathcover import KPath, is_valid_kpath
@@ -239,10 +241,7 @@ class AbsorbingPath:
 
     def hostable(self, g: Graph) -> int:
         """Mask of the vertices some segment can host."""
-        out = 0
-        for h in self.host_masks(g):
-            out |= h
-        return out
+        return reduce(int.__or__, self.host_masks(g), 0)
 
 
 def _validate(g: Graph, k: int, family: tuple[VAbsorber, ...],
@@ -313,29 +312,31 @@ def build_absorbing_path(g: Graph, k: int, zeta: Fraction,
     return AbsorbingPath(path, tuple(order), (0, *starts))
 
 
-def _match(xs: list[int], usable: dict[int, list[int]]
+def _match(xs: list[int], usable: dict[int, int]
            ) -> tuple[dict[int, int], list[int]]:
     """Match xs to segments by augmenting paths, ascending, without recursion;
-    returns segment -> vertex and the unmatched vertices, in xs order."""
+    ``usable[v]`` is the mask of the segments that can host v.  Returns
+    segment -> vertex and the unmatched vertices, in xs order."""
     matched: dict[int, int] = {}
     spill = []
     for root in xs:
-        visited: set[int] = set()
-        todo = [iter(usable[root])]     # untried segments along the path
+        unvisited = -1                  # mask of the segments not tried
+        todo = [usable[root]]           # usable segments along the path
         taken: list[int] = []           # the segment each path vertex takes
         while todo:
-            for i in todo[-1]:
-                if i not in visited:
-                    break
-            else:
+            # skipped segments are visited: take the lowest unvisited one
+            free = todo[-1] & unvisited
+            if not free:
                 todo.pop()
                 del taken[-1:]          # the segment that led here, if any
                 continue
-            visited.add(i)
+            low = free & -free
+            unvisited ^= low
+            i = low.bit_length() - 1
             taken.append(i)
             if i not in matched:
                 break
-            todo.append(iter(usable[matched[i]]))
+            todo.append(usable[matched[i]])
         # root and each vertex it displaces move to the segment taken next
         matched.update(zip(taken, [root] + [matched[i] for i in taken[:-1]]))
         if not todo:
@@ -365,13 +366,16 @@ def absorb(g: Graph, pa: AbsorbingPath, x_set: Iterable[int]) -> KPath:
             raise InputError(f"vertex {v} already lies on the path")
 
     k = pa.path.k
-    hosts = pa.host_masks(g)
-    usable = {v: [i for i, h in enumerate(hosts) if h >> v & 1] for v in xs}
+    # vertex -> its hosts' mask: the host masks' digit columns, zipped
+    usable, fmt = dict.fromkeys(xs, 0), f"0{g.n}b"
+    rows = [format(h, fmt) for h in reversed(pa.host_masks(g))]
+    usable.update(zip(reversed(xs), (int("".join(col), 2) for col in compress(
+        zip(*rows), format(mask_of(xs), fmt).encode().translate(_DIGITS)))))
 
     matched, spill = _match(xs, usable)
     groups = {i: [v] for i, v in matched.items()}
     for v in spill:
-        for i in usable[v]:
+        for i in iter_bits(usable[v]):
             grp = groups.setdefault(i, [])
             if len(grp) < k and all((g.adj[v] >> w) & 1 for w in grp):
                 grp.append(v)

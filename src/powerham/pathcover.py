@@ -9,7 +9,8 @@ Acceptance criterion 3 checks exactly that on pruned hypergraphs.
 The cover routine does not prune: it grows greedy tight paths through
 every (k+1)-clique of whatever is still uncovered.  A path grows from the
 bit rows alone, so the degree table is listed only when pruning or a
-caller reads it; only pruned-away edges are stored explicitly.
+caller reads it; only pruned-away edges are stored explicitly, and with
+none a growth step scores its candidates in C (see greedy_tight_path).
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from powerham.errors import InputError, NoCliquesError
-from powerham.graph import (Graph, common_neighborhood_mask, is_clique,
-                            iter_bits, list_cliques, mask_of, verts_of)
+from powerham.graph import (Graph, common_neighborhood_mask, iter_bits,
+                            list_cliques, mask_of, verts_of)
 from powerham.rng import SplitMix64
 
 RESTARTS = 8
@@ -62,15 +63,11 @@ class KPath:
 
 
 def is_valid_kpath(g: Graph, kp: KPath) -> bool:
-    vs = kp.vertices
-    if len(set(vs)) != len(vs) or len(vs) < kp.k:
-        return False
-    if any(not 0 <= v < g.n for v in vs):
-        return False
-    for i in range(len(vs) - kp.k):
-        if not is_clique(g, vs[i:i + kp.k + 1]):
-            return False
-    return True
+    """Every k+1 consecutive vertices of kp (a path of k has none) span a
+    clique of g: each vertex sees the next k.  KPath checked the shape."""
+    vs, adj, k = kp.vertices, g.adj, kp.k
+    return all(0 <= v < g.n for v in vs) and (len(vs) == k or all(
+        adj[v] >> u & 1 for i, v in enumerate(vs) for u in vs[i + 1:i + k + 1]))
 
 
 def _subtuples(emask: int):
@@ -204,34 +201,58 @@ def greedy_tight_path(h: CliqueHypergraph, seed: int,
     the one whose new end tuple keeps the most unused edges (ties to the
     lowest vertex id).  On return neither end extends to an unused vertex,
     unless the path stopped at `limit`.
+
+    A score is v's row ANDed with the unused window of the tuple that
+    stays, popcounted in C, less the edges a pruned hypergraph removed.
+    Unpruned at k = 1 the scores are degrees into the unused live vertices,
+    kept in bit-sliced ``planes`` (bit v of plane j is bit j of v's degree).
     """
-    k = h.k
+    k, adj = h.k, h.g.adj
     if limit is not None and limit < k + 1:
         raise InputError("limit must be >= k + 1")
     used = _start_edge(h, SplitMix64(seed))
     seq = deque(verts_of(used))  # ascending start edge
+    free = h.live & ~used
+    vs = verts_of(free) if k == 1 and not h.removed else ()
+    deg = list(map(int.bit_count, map(free.__and__, map(adj.__getitem__, vs))))
+    planes = [mask_of(v for v, d in zip(vs, deg) if d >> j & 1)
+              for j in range(max(deg, default=0).bit_length())]
 
     dead = [False, False]   # left end, right end
-    right = True
+    right = False
     while not all(dead) and len(seq) != limit:
-        if not dead[right]:
-            end = [seq[i] for i in (range(-k, 0) if right else range(k))]
-            tm = mask_of(end)
-            cands = _extensions(h, tm, _window(h, tm) & ~used)
-            if cands:
-                base = tm ^ (1 << (end[0] if right else end[-1]))
-                # the window of base + v is base's window ANDed with v's row
-                around, adj = _window(h, base) & ~used, h.g.adj
-                best = max(iter_bits(cands), key=lambda v: (
-                    _extensions(h, base | 1 << v, around & adj[v]).bit_count(), -v))
-                if right:
-                    seq.append(best)
-                else:
-                    seq.appendleft(best)
-                used |= 1 << best
-            else:
-                dead[right] = True
         right = not right
+        if dead[right]:
+            continue
+        end = [seq[i] for i in (range(-k, 0) if right else range(k))]
+        tm = mask_of(end)
+        cands = _extensions(h, tm, _window(h, tm) & free)
+        if not cands:
+            dead[right] = True
+            continue
+        if planes:
+            # keep the candidates with the top degree, bit by bit
+            for plane in reversed(planes):
+                if cands & plane:
+                    cands &= plane
+            best = (cands & -cands).bit_length() - 1
+        else:
+            base = tm ^ (1 << (end[0] if right else end[-1]))
+            # the window of base + v is base's window ANDed with v's row
+            around = _window(h, base) & free
+            vs = verts_of(cands)
+            score = map(around.__and__, map(adj.__getitem__, vs))
+            if h.removed:
+                score = [_extensions(h, base | 1 << v, ext)
+                         for v, ext in zip(vs, score)]
+            score = list(map(int.bit_count, score))
+            best = vs[score.index(max(score))]   # first top: lowest id
+        (seq.append if right else seq.appendleft)(best)
+        free ^= 1 << best
+        borrow = adj[best] & free   # best's free neighbours lose one
+        for j, plane in enumerate(planes):
+            planes[j] = plane ^ borrow
+            borrow &= ~plane
     return KPath(k, tuple(seq))
 
 

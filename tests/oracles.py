@@ -302,3 +302,47 @@ def recursive_match(xs, usable):
 
     spill = [v for v in xs if not augment(v, set())]
     return matched, spill
+
+
+def lambda_greedy_tight_path(h, seed, limit=None):
+    """``pathcover.greedy_tight_path`` as it scored candidates before its
+    bitset kernels, returning the vertex tuple.
+
+    Every step scores each candidate v with its own lambda: the
+    ``_extensions`` of the new end tuple inside the unused window of the
+    tuple that stays, ANDed with v's row and popcounted; the largest
+    ``(score, -v)`` wins.  Like ``recursive_search`` it runs the code under
+    test for the start edge, the windows and the pruned-edge filter
+    (``_start_edge``, ``_window``, ``_extensions``, ``iter_bits``); it
+    checks the scoring and the choice, not those.
+    """
+    from collections import deque
+
+    from powerham.graph import iter_bits, mask_of, verts_of
+    from powerham.pathcover import _extensions, _start_edge, _window
+    from powerham.rng import SplitMix64
+
+    k = h.k
+    used = _start_edge(h, SplitMix64(seed))
+    seq = deque(verts_of(used))
+    dead = [False, False]
+    right = True
+    while not all(dead) and len(seq) != limit:
+        if not dead[right]:
+            end = [seq[i] for i in (range(-k, 0) if right else range(k))]
+            tm = mask_of(end)
+            cands = _extensions(h, tm, _window(h, tm) & ~used)
+            if cands:
+                base = tm ^ (1 << (end[0] if right else end[-1]))
+                around, adj = _window(h, base) & ~used, h.g.adj
+                best = max(iter_bits(cands), key=lambda v: (
+                    _extensions(h, base | 1 << v, around & adj[v]).bit_count(), -v))
+                if right:
+                    seq.append(best)
+                else:
+                    seq.appendleft(best)
+                used |= 1 << best
+            else:
+                dead[right] = True
+        right = not right
+    return tuple(seq)

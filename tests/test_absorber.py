@@ -442,7 +442,7 @@ def test_absorption_preserves_validity_across_seeds():
 def test_match_agrees_with_recursive_oracle(rows):
     xs = list(range(100, 100 + len(rows)))
     usable = dict(zip(xs, rows))
-    matched, spill = _match(xs, usable)
+    matched, spill = _match(xs, {v: mask_of(row) for v, row in usable.items()})
     want, want_spill = recursive_match(xs, usable)
     assert list(matched.items()) == list(want.items()) and spill == want_spill
 

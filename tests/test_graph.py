@@ -1,6 +1,7 @@
 """Graph core: construction, counting, clique listing, text round-trip."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -102,6 +103,29 @@ def test_mask_helpers_roundtrip():
     assert verts_of(mask_of([5, 1, 3])) == (1, 3, 5)
     assert list(iter_bits(0b101001)) == [0, 3, 5]
     assert verts_of(0) == ()
+
+
+def _dense_and_sparse(width, seed):
+    """Masks of bit width `width`, about 3/4 and about 1/16 of bits set."""
+    bits = random.Random(seed).getrandbits
+    a, b, c, d = (bits(width - 1) for _ in range(4))
+    return (a | b) | 1 << width - 1, (a & b & c & d) | 1 << width - 1
+
+
+# verts_of scans masks over 256 bits wide with over 1/8 of their bits set
+@pytest.mark.parametrize("mask", [
+    0, 1, 1 << 255, 1 << 256, 1 << 257, 1 << 4095, (1 << 4096) - 1,
+    (1 << 255) - 1, (1 << 256) - 1, (1 << 257) - 1, (1 << 257) | 1,
+    int("1" * 37 + "0" * 264, 2),   # 37 of 301 bits: below the density gate
+    int("1" * 38 + "0" * 263, 2),   # 38 of 301 bits: above it
+    *(m for w in (60, 256, 257, 600, 4000) for s in range(3)
+      for m in _dense_and_sparse(w, s)),
+])
+def test_verts_of_matches_bit_by_bit_reading(mask):
+    want = tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+    assert verts_of(mask) == want
+    assert tuple(iter_bits(mask)) == want
+    assert mask_of(verts_of(mask)) == mask
 
 
 def test_neighbors_examples():

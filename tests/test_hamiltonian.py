@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations, count
 from types import SimpleNamespace
@@ -20,6 +21,7 @@ from powerham.hamiltonian import (STAGES, Certificate, PipelineConfig,
                                   find_hamiltonian_power,
                                   find_with_hitting_sets, verify,
                                   window_tallies)
+from powerham.rng import SplitMix64
 
 import hash_panel
 from oracles import oracle_power_ham_cycle
@@ -249,6 +251,20 @@ def test_seeded_output_matches_pinned_panel_digests():
         "hitting": (2, "b227d90c10d01f63e9c584f4089d450a"
                        "1cb47b21b28ca007031cb4f7e4f7a734"),
     }
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 300, 2000])
+@pytest.mark.parametrize("seed", [0, 1, 1729, 2 ** 64 - 1])
+def test_reservoir_draw_matches_one_chance_per_vertex(n, seed):
+    # every vertex, every third one and a random half
+    pools = [(1 << n) - 1, int("001" * n, 2) & (1 << n) - 1,
+             random.Random(seed).getrandbits(n)]
+    for pool in pools:
+        rng, want = SplitMix64(seed), 0
+        for v in range(n):
+            if pool >> v & 1 and rng.chance(hamiltonian.RESERVOIR_FRACTION):
+                want |= 1 << v
+        assert hamiltonian._reservoir(pool, seed) == want
 
 
 def test_pipeline_rejects_empty_graphs():

@@ -15,7 +15,7 @@ from powerham.pathcover import (CliqueHypergraph, KPath,
                                 greedy_tight_path, is_valid_kpath, prune,
                                 _subtuples)
 
-from oracles import oracle_cliques, oracle_is_kpath
+from oracles import lambda_greedy_tight_path, oracle_cliques, oracle_is_kpath
 
 
 def brute_edges(g, k, live=None):
@@ -227,6 +227,47 @@ def test_cover_partitions_live_set_and_exhausts_cliques(seed, n, k, p,
     else:
         with pytest.raises(NoCliquesError):
             greedy_tight_path(h, seed, limit=limit)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(2, 40), st.integers(1, 3),
+       st.sampled_from((Fraction(1, 2), Fraction(3, 4), Fraction(9, 10))),
+       st.integers(0, 2 ** 40 - 1), st.one_of(st.none(), st.integers(0, 3)),
+       st.one_of(st.none(), st.integers(0, 40)), st.integers(0, 2 ** 64 - 1))
+def test_greedy_matches_lambda_scoring(gseed, n, k, p, excluded, threshold,
+                                       extra, seed):
+    g = gnp(n, p, gseed)
+    h = build_clique_hypergraph(g, k, within=g.full_mask() & ~excluded)
+    if threshold is not None:
+        h = prune(h, threshold)
+    limit = None if extra is None else k + 1 + extra
+    try:
+        want = lambda_greedy_tight_path(h, seed, limit)
+    except NoCliquesError:
+        with pytest.raises(NoCliquesError):
+            greedy_tight_path(h, seed, limit)
+        return
+    assert greedy_tight_path(h, seed, limit) == KPath(k, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 30), st.integers(1, 4),
+       st.sampled_from((Fraction(1, 2), Fraction(9, 10), Fraction(1))),
+       st.data())
+def test_is_valid_kpath_matches_window_oracle(gseed, n, k, p, data):
+    g = gnp(n, p, gseed)
+    vs = data.draw(st.permutations(range(n)))
+    if len(vs) < k:
+        return
+    # grow a valid prefix greedily, then take any slice, so both answers occur
+    order = [vs[0]]
+    for v in vs[1:]:
+        if all(g.has_edge(v, u) for u in order[-k:]):
+            order.append(v)
+    order += [v for v in vs if v not in order]
+    lo = data.draw(st.integers(0, n - k))
+    kp = KPath(k, tuple(order[lo:lo + data.draw(st.integers(k, n - lo))]))
+    assert is_valid_kpath(g, kp) == oracle_is_kpath(g, kp.vertices, k)
 
 
 def test_greedy_limit_below_an_edge_is_refused():
