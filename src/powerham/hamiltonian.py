@@ -27,7 +27,8 @@ from powerham.pathcover import KPath, cover_with_paths
 from powerham.properties import inseparable_heuristic, is_connectable
 from powerham.rng import DEFAULT_SEED, SplitMix64
 
-STAGES = ("absorbing_path", "reservoir", "cover", "connect", "absorb")
+STAGES = ("obstruction", "absorbing_path", "reservoir", "cover", "connect",
+          "absorb")
 
 ORACLE_CAP = 14
 MAX_HITTING_SETS = 64
@@ -168,6 +169,44 @@ def brute_force_oracle(g: Graph, k: int) -> Optional[Certificate]:
     if not ok:
         raise PowerhamError("oracle produced an invalid certificate")
     return cert
+
+
+def screen_obstruction(g: Graph, k: int) -> Optional[dict]:
+    """A witness that g holds no k-th power of a Hamilton cycle, or None.
+
+    The power on n >= 2k + 1 vertices is 2k-regular and has no independent
+    set over floor(n/(k+1)).  The witness is the lowest (degree, id) vertex
+    or the greedy independent set taken in that order; the greedy stops as
+    soon as its set plus every free vertex is within the bound, at once
+    when n - min degree is.
+    """
+    n, bound = g.n, g.n // (k + 1)
+    if n < 2 * k + 1:
+        return None
+    deg = list(map(int.bit_count, g.adj))
+    v = deg.index(min(deg))
+    if deg[v] < 2 * k:
+        return {"kind": "degree", "vertex": v, "degree": deg[v]}
+    chosen, free = [v], g.full_mask() & ~(g.adj[v] | 1 << v)
+    while free and len(chosen) + free.bit_count() > bound:
+        v = min(verts_of(free), key=deg.__getitem__)
+        chosen.append(v)
+        free &= ~(g.adj[v] | 1 << v)
+    return ({"kind": "independent_set", "set": sorted(chosen)}
+            if len(chosen) > bound else None)
+
+
+def verify_obstruction(g: Graph, k: int, witness: dict) -> bool:
+    """Re-check a ``screen_obstruction`` witness against the graph alone."""
+    n, s = g.n, witness.get("set", ())
+    if n < 2 * k + 1:
+        return False
+    if witness["kind"] == "degree":
+        v = witness["vertex"]
+        return 0 <= v < n and g.adj[v].bit_count() == witness["degree"] < 2 * k
+    m = mask_of(v for v in s if 0 <= v < n)
+    return (m.bit_count() == len(s) > n // (k + 1)
+            and not any(g.adj[v] & m for v in s))
 
 
 @dataclass(frozen=True)
@@ -480,9 +519,10 @@ def _attempt(g: Graph, cfg: PipelineConfig, seed: int, max_inner: int,
 def _run_pipeline(g: Graph, cfg: PipelineConfig,
                   hitting: Optional[list[list[tuple[int, ...]]]] = None
                   ) -> PipelineResult:
-    """Set up once, then run attempts until one succeeds or retries run out.
+    """Screen, set up once, then attempt until success or retries run out.
 
-    ``timings`` covers the whole run: ``setup`` (the mu estimate that sets
+    ``timings`` covers the whole run: ``obstruction`` (the screen; a hit is
+    re-verified and returned at once), ``setup`` (the mu estimate that sets
     the connection length ceiling, from the heuristic's degree sweep alone:
     its local search never moved the ceiling on any benchmark or panel
     graph) plus every stage of every attempt.
@@ -491,6 +531,16 @@ def _run_pipeline(g: Graph, cfg: PipelineConfig,
     if n < 2:
         raise InputError("the pipeline needs a graph on at least 2 vertices")
     timings: dict = {}
+    with _timed(timings, "obstruction"):
+        hit = screen_obstruction(g, cfg.k)
+        if hit and not verify_obstruction(g, cfg.k, hit):
+            raise PowerhamError(f"internal: invalid obstruction {hit}")
+    if hit:
+        note = (f"vertex {hit['vertex']} has degree {hit['degree']} < 2k"
+                if hit["kind"] == "degree" else f"independent set of "
+                f"{len(hit['set'])} > floor(n/(k+1)) = {n // (cfg.k + 1)}")
+        return PipelineResult(None, StageReport(n, cfg.k, 0, "obstruction", {
+            "obstruction": hit}, timings, (note,)))
     with _timed(timings, "setup"):
         mu = inseparable_heuristic(g, seed=0, budget=0).mu_star
         max_inner = _practical_max_inner(mu, cfg.k)

@@ -136,6 +136,55 @@ def oracle_power_ham_cycle(g, ordering, k):
     return True
 
 
+def oracle_obstruction(g, k, witness):
+    """Does `witness` prove that g holds no k-th power of a Hamilton cycle?
+
+    Read off plain edge sets against that power on n >= 2k + 1 vertices: a
+    vertex there is adjacent to the 2k others within cyclic distance k, and
+    consecutive members of an independent set lie more than k apart around
+    the cycle, so the set has at most n // (k + 1) members.
+    """
+    n = g.n
+    if n < 2 * k + 1:
+        return False
+    es = edge_set(g)
+    if witness["kind"] == "degree":
+        v = witness["vertex"]
+        target = len({(v + d) % n for d in range(-k, k + 1)} - {v})
+        return sum(1 for e in es if v in e) == witness["degree"] < target
+    if witness["kind"] == "independent_set":
+        s = witness["set"]
+        return (len(set(s)) == len(s) > n // (k + 1)
+                and set(s) <= set(range(n))
+                and not any(frozenset(p) in es for p in combinations(s, 2)))
+    return False
+
+
+def oracle_screen(g, k):
+    """The obstruction screens' witness, recomputed in full from edge sets.
+
+    The lowest (degree, id) vertex if its degree is below 2k, else the
+    greedy independent set over every vertex in ascending (degree, id)
+    order if it has over n // (k + 1) members, else None; nothing below
+    2k + 1 vertices.
+    """
+    n = g.n
+    if n < 2 * k + 1:
+        return None
+    es = edge_set(g)
+    deg = {v: sum(1 for e in es if v in e) for v in range(n)}
+    order = sorted(range(n), key=lambda v: (deg[v], v))
+    if deg[order[0]] < 2 * k:
+        return {"kind": "degree", "vertex": order[0], "degree": deg[order[0]]}
+    chosen = []
+    for v in order:
+        if all(frozenset((u, v)) not in es for u in chosen):
+            chosen.append(v)
+    if len(chosen) > n // (k + 1):
+        return {"kind": "independent_set", "set": sorted(chosen)}
+    return None
+
+
 def per_pair_rows(n, p, seed, bipartite=False):
     """Adjacency rows of ``gnp`` (or ``random_bipartite``) drawn one pair at
     a time with ``SplitMix64.chance``.

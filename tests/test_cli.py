@@ -159,6 +159,22 @@ def test_find_failure_exit_code_and_stage(tmp_path, capsys):
     assert out["report"]["failed_stage"] == "absorbing_path"
 
 
+def test_find_obstructed_graph_names_the_witness(tmp_path, capsys):
+    # C_12 at k=2: vertex 0 has degree 2 < 2k, so no attempt is made
+    path = graph_file(tmp_path, Graph.cycle(12))
+    assert run(["find", path, "-k", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "failed: stage 'obstruction' after 0 attempt(s)\n"
+    assert captured.err == "note: vertex 0 has degree 2 < 2k\n"
+    code, out = run_json(capsys, ["find", path, "-k", "2", "--json"])
+    assert code == 1 and out["ok"] is False and out["certificate"] is None
+    rep = out["report"]
+    assert (rep["attempts"], rep["failed_stage"]) == (0, "obstruction")
+    assert rep["stages"]["obstruction"] == {"kind": "degree", "vertex": 0,
+                                            "degree": 2}
+    assert rep["notes"] == ["vertex 0 has degree 2 < 2k"]
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_find_below_4k_vertices_answers_without_attempts(tmp_path, capsys, k):
     for n in range(2, 4 * k):
@@ -209,7 +225,9 @@ def test_find_json_output_is_byte_stable(tmp_path, capsys):
 
 
 def test_find_flag_overrides_reach_the_config(tmp_path, capsys):
-    path = graph_file(tmp_path, Graph.cycle(12))     # fails every attempt
+    # C_12^2 passes the obstruction screens, then fails every attempt
+    path = graph_file(tmp_path, Graph.from_edges(
+        12, [(i, (i + d) % 12) for i in range(12) for d in (1, 2)]))
     for retries in (0, 2):
         code, out = run_json(capsys, ["find", path, "-k", "2", "--seed", "2",
                                       "--retries", str(retries), "--json"])
@@ -407,8 +425,9 @@ def test_bench_csv_layout(tmp_path, capsys):
     header = lines[0].split(",")
     assert header[:7] == ["n", "p", "k", "seed", "success", "stage",
                           "attempts"]
-    assert header[7:] == ["t_setup", "t_absorbing_path", "t_reservoir",
-                          "t_cover", "t_connect", "t_absorb", "t_total"]
+    assert header[7:] == ["t_setup", "t_obstruction", "t_absorbing_path",
+                          "t_reservoir", "t_cover", "t_connect", "t_absorb",
+                          "t_total"]
     assert len(lines) == 4
     for line in lines[1:]:
         row = line.split(",")

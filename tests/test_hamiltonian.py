@@ -19,12 +19,27 @@ from powerham.hamiltonian import (STAGES, Certificate, PipelineConfig,
                                   brute_force_oracle, canonicalize,
                                   extract_clique_factor,
                                   find_hamiltonian_power,
-                                  find_with_hitting_sets, verify,
-                                  window_tallies)
+                                  find_with_hitting_sets,
+                                  screen_obstruction, verify,
+                                  verify_obstruction, window_tallies)
 from powerham.rng import SplitMix64
 
 import hash_panel
-from oracles import oracle_power_ham_cycle
+from oracles import (oracle_obstruction, oracle_power_ham_cycle,
+                     oracle_screen)
+
+
+def cycle_power(n, k):
+    """C_n^k: every pair at cyclic distance at most k is an edge."""
+    return Graph.from_edges(n, [(i, (i + d) % n) for i in range(n)
+                                for d in range(1, k + 1)])
+
+
+def degree_one_gnp(n, seed):
+    """gnp(n, 3/4, seed) in which vertex 0 keeps only the edge 01."""
+    g = gnp(n, Fraction(3, 4), seed)
+    return Graph.from_edges(n, [(u, v) for u, v in combinations(range(n), 2)
+                                if u != 0 and g.has_edge(u, v)] + [(0, 1)])
 
 
 # ---------------------------------------------------------- canonical form
@@ -176,8 +191,11 @@ def test_pipeline_certificate_agrees_with_reference_checker():
 
 
 def test_pipeline_reports_stage_failure_on_sparse_cycles():
-    # C_9 holds no 4-clique, so no absorber family can exist for k = 2
-    res = find_hamiltonian_power(Graph.cycle(9), PipelineConfig(k=2, seed=0))
+    # C_9^2 passes both screens (degree 4 = 2k, independence number
+    # 3 = floor(9/3)) but holds no 4-clique, so no absorber family can
+    # exist for k = 2
+    res = find_hamiltonian_power(cycle_power(9, 2),
+                                 PipelineConfig(k=2, seed=0))
     assert not res.ok
     assert res.certificate is None
     assert res.report.failed_stage == "absorbing_path"
@@ -225,6 +243,114 @@ def test_hitting_sets_below_4k_vertices_are_refused():
                                [(0, 1, 2)])
 
 
+# ------------------------------------------------------- obstruction screens
+
+@pytest.mark.parametrize("g, k, witness, note", [
+    # the inputs that spent every retry before the screens ran
+    (Graph.cycle(9), 2, {"kind": "degree", "vertex": 0, "degree": 2},
+     "vertex 0 has degree 2 < 2k"),
+    (Graph.cycle(12), 2, {"kind": "degree", "vertex": 0, "degree": 2},
+     "vertex 0 has degree 2 < 2k"),
+    (degree_one_gnp(20, 1), 1, {"kind": "degree", "vertex": 0, "degree": 1},
+     "vertex 0 has degree 1 < 2k"),
+    (clique_complement(60, Fraction(1, 2)), 2,
+     {"kind": "independent_set", "set": list(range(30))},
+     "independent set of 30 > floor(n/(k+1)) = 20"),
+])
+def test_screens_refute_before_the_first_attempt(g, k, witness, note):
+    res = find_hamiltonian_power(g, PipelineConfig(k=k, seed=0))
+    rep = res.report
+    assert res.certificate is None
+    assert (rep.attempts, rep.failed_stage) == (0, "obstruction")
+    assert rep.stages == {"obstruction": witness}
+    assert set(rep.timings) == {"obstruction"}
+    assert rep.notes == (note,)
+    assert oracle_obstruction(g, k, witness)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_screens_pass_exact_cycle_powers(k):
+    # degree exactly 2k and independence number exactly floor(n/(k+1)) at
+    # (k+1) | n: both bounds are tight, so neither screen may fire; on at
+    # most 2k + 1 vertices the power is the complete graph
+    for n in range(1, 25):
+        g = cycle_power(n, k) if n > 2 * k else Graph.complete(n)
+        assert screen_obstruction(g, k) is None
+
+
+@pytest.mark.parametrize("n", [20, 40, 60])
+@pytest.mark.parametrize("p", [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)])
+def test_screen_matches_the_full_reference_on_larger_graphs(n, p):
+    # beyond the brute-force oracle's reach, the early-stopping greedy
+    # must still give the full greedy's witness
+    for k in (1, 2, 3):
+        for seed in range(3):
+            g = gnp(n, p, seed)
+            assert screen_obstruction(g, k) == oracle_screen(g, k)
+
+
+def test_verify_obstruction_rejects_false_witnesses():
+    g = Graph.cycle(9)
+    assert verify_obstruction(g, 2, {"kind": "degree", "vertex": 4,
+                                     "degree": 2})
+    for k, witness in [
+            (2, {"kind": "degree", "vertex": 4, "degree": 1}),   # wrong
+            (1, {"kind": "degree", "vertex": 4, "degree": 2}),   # = 2k
+            (2, {"kind": "degree", "vertex": 9, "degree": 2}),   # no vertex
+            (1, {"kind": "independent_set", "set": [0, 2, 4, 6, 8]}),  # 08
+            (2, {"kind": "independent_set", "set": [0, 3, 6]}),  # too few
+            (2, {"kind": "independent_set", "set": [0, 3, 6, 6]}),
+            (2, {"kind": "independent_set", "set": [0, 1, 4, 6]}),  # 01
+            (2, {"kind": "independent_set", "set": [0, 2, 4, 9]}),
+    ]:
+        assert not verify_obstruction(g, k, witness), witness
+    assert verify_obstruction(g, 2, {"kind": "independent_set",
+                                     "set": [0, 2, 5, 7]})
+    # below 2k + 1 vertices the power is complete and no witness holds
+    assert not verify_obstruction(Graph.cycle(4), 2, {
+        "kind": "degree", "vertex": 0, "degree": 2})
+
+
+def test_find_rechecks_the_screens_witness(monkeypatch):
+    monkeypatch.setattr(hamiltonian, "screen_obstruction", lambda g, k: {
+        "kind": "degree", "vertex": 0, "degree": 3})
+    with pytest.raises(PowerhamError, match="invalid obstruction"):
+        find_hamiltonian_power(Graph.complete(20), PipelineConfig(k=2))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(2, 10), st.integers(1, 3),
+       st.sampled_from(["random", "low_degree", "independent", "power"]),
+       st.sampled_from([0.0, 0.5, 0.8, 1.0]), st.integers(0, 2 ** 32))
+def test_screen_hits_agree_with_the_oracle(n, k, plant, p, seed):
+    # soundness differential: the screen gives the full reference's
+    # witness, a hit's witness passes the independent checker, and the
+    # brute-force oracle finds no power; planted powers (degree 2k,
+    # independence number floor(n/(k+1))) probe the bounds
+    rnd = random.Random(seed)
+    edges = {e for e in combinations(range(n), 2) if rnd.random() < p}
+    if plant == "power":
+        edges |= {(min(i, j), max(i, j)) for i in range(n)
+                  for j in ((i + d) % n for d in range(1, k + 1)) if i != j}
+    elif plant == "low_degree":
+        v = rnd.randrange(n)
+        keep = set(rnd.sample([u for u in range(n) if u != v],
+                              min(n - 1, rnd.randrange(2 * k))))
+        edges = {e for e in edges if v not in e or set(e) - {v} <= keep}
+    elif plant == "independent":
+        s = set(rnd.sample(range(n), min(n, n // (k + 1) + 1)))
+        edges = {e for e in edges if not set(e) <= s}
+    g = Graph.from_edges(n, edges)
+    hit = screen_obstruction(g, k)
+    assert hit == oracle_screen(g, k)
+    if plant == "low_degree" and n >= 2 * k + 1:
+        assert hit is not None      # a degree below 2k never slips through
+    if hit is not None:
+        assert oracle_obstruction(g, k, hit)
+        assert verify_obstruction(g, k, hit)
+        assert brute_force_oracle(g, k) is None
+
+
 def test_pipeline_is_deterministic():
     g = gnp(50, Fraction(3, 4), 5)
     runs = [find_hamiltonian_power(g, PipelineConfig(k=2, seed=5))
@@ -246,8 +372,8 @@ def test_seeded_output_matches_pinned_panel_digests():
                         "ceba99ff70fef17bd606052d3779b812"),
         "retry_k3": (48, "c4ab230e1cb537ac743f16fa0f2b24d8"
                          "e692c409a10be1410c365d1d195e1a78"),
-        "no_power": (8, "f6715063c0c2ac47db94aecf0c059a24"
-                        "679cf7caabb0e17ee3ffe3f8e56a223d"),
+        "no_power": (8, "413222db44ca8b5d21df6f633f6d1aa5"
+                        "a28b628490caf64f8a8d58528f056e42"),
         "hitting": (2, "b227d90c10d01f63e9c584f4089d450a"
                        "1cb47b21b28ca007031cb4f7e4f7a734"),
     }
@@ -287,18 +413,18 @@ def test_timings_cover_setup_and_every_attempt(monkeypatch):
     ticks = count()
     monkeypatch.setattr(hamiltonian, "time",
                         SimpleNamespace(perf_counter=lambda: next(ticks)))
-    # a degree-1 vertex lies on no Hamilton cycle; every attempt builds the
-    # absorbing path, then fails to close the cycle in both reservoir rounds
-    g = gnp(20, Fraction(3, 4), 1)
-    g = Graph.from_edges(20, [(u, v) for u, v in combinations(range(20), 2)
-                              if u != 0 and g.has_edge(u, v)] + [(0, 1)])
+    # two K10s sharing vertex 0 pass both screens, but the cut vertex lies
+    # on no Hamilton cycle; every attempt builds the absorbing path, then
+    # fails to close the cycle in both reservoir rounds
+    g = Graph.from_edges(19, list(combinations(range(10), 2))
+                         + list(combinations((0, *range(10, 19)), 2)))
     for retries in (0, 2):
         rep = find_hamiltonian_power(
             g, PipelineConfig(k=1, seed=0, retries=retries)).report
         assert rep.failed_stage == "connect"
         assert rep.attempts == retries + 1
         assert set(rep.timings) <= {"setup", *STAGES}
-        assert rep.timings == {"setup": 1,
+        assert rep.timings == {"obstruction": 1, "setup": 1,
                                "absorbing_path": rep.attempts,
                                "reservoir": 2 * rep.attempts,
                                "cover": 2 * rep.attempts,
@@ -380,6 +506,21 @@ def test_hitting_set_without_usable_clique_is_infeasible():
     with pytest.raises(InfeasibleSetError, match="set 0"):
         find_with_hitting_sets(g, PipelineConfig(k=2, seed=0),
                                [tuple(range(10))])
+
+
+def test_hitting_sets_on_an_obstructed_graph_make_no_attempt():
+    g = degree_one_gnp(60, 0)
+    res = find_with_hitting_sets(g, PipelineConfig(k=1, seed=0),
+                                 [(1, 2, 3, 4)])
+    assert not res.ok and res.tallies == ()
+    assert (res.report.attempts, res.report.failed_stage) == \
+        (0, "obstruction")
+    assert res.report.stages == {
+        "obstruction": {"kind": "degree", "vertex": 0, "degree": 1}}
+    # sets are still validated first
+    for bad in ([(1, 2, 2)], [(1,)], [(1, 60)]):
+        with pytest.raises(InputError):
+            find_with_hitting_sets(g, PipelineConfig(k=1), bad)
 
 
 def test_hitting_set_validation():
