@@ -25,8 +25,8 @@ from typing import Iterable
 
 from .connector import ConnectRequest, connect
 from .errors import AssemblyError, CapacityError, InputError
-from .graph import (_DIGITS, Graph, common_neighborhood_mask, iter_bits,
-                    mask_of, nth_bit)
+from .graph import (_DIGITS, Graph, common_neighborhood_mask, mask_of,
+                    nth_bit, verts_of)
 # unused here, but perfbench/spans.py traces clique listing at this binding
 from .graph import list_cliques  # noqa: F401
 from .pathcover import KPath, is_valid_kpath
@@ -375,7 +375,7 @@ def absorb(g: Graph, pa: AbsorbingPath, x_set: Iterable[int]) -> KPath:
     matched, spill = _match(xs, usable)
     groups = {i: [v] for i, v in matched.items()}
     for v in spill:
-        for i in iter_bits(usable[v]):
+        for i in verts_of(usable[v]):
             grp = groups.setdefault(i, [])
             if len(grp) < k and all((g.adj[v] >> w) & 1 for w in grp):
                 grp.append(v)

@@ -38,7 +38,8 @@ from .rng import DEFAULT_SEED
 from .walks import delta_schedule
 
 HEURISTIC_BUDGET = 20000
-# keys of a report's timings, in run order: one setup, then the stages
+# keys of a report's timings; a find runs obstruction, setup, then the
+# other stages, but bench CSVs keep setup as their first timing column
 TIMED = ("setup",) + STAGES
 
 

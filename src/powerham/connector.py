@@ -21,7 +21,7 @@ from typing import Optional
 
 from powerham.errors import InputError
 from powerham.graph import (Graph, common_neighborhood_mask, is_clique,
-                            iter_bits, mask_of)
+                            mask_of, verts_of)
 from powerham.pathcover import KPath
 from powerham.rng import SplitMix64
 
@@ -91,7 +91,7 @@ def _search(g: Graph, req: ConnectRequest, m: int, budget: _Budget,
             for r, v in enumerate(priority[:]):
                 priority[v] = r
         table.extend(priority)
-        for v in iter_bits(req.prefer_inner & pool):
+        for v in verts_of(req.prefer_inner & pool):
             table[v] -= g.n
 
     def rec(i: int, free: int, win: int) -> Optional[tuple[int, ...]]:

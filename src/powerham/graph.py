@@ -89,10 +89,6 @@ def nth_bit(mask: int, i: int) -> int:
     return base + (word & -word).bit_length() - 1
 
 
-def iter_bits(mask: int) -> Iterator[int]:
-    return iter(verts_of(mask))
-
-
 def _row(n: int, verts: list[int]) -> int:
     """``mask_of(verts)`` for vertices below n, built in one pass.
 
@@ -152,7 +148,7 @@ class Graph:
         # sparse rows, or a mismatch to name: find the first pair per edge
         for v, row in enumerate(adj):
             if row:
-                for u in iter_bits(row):
+                for u in verts_of(row):
                     if not adj[u] >> v & 1:
                         raise InputError(f"edge {v}-{u} is not symmetric")
 
@@ -211,7 +207,7 @@ def common_neighborhood_mask(g: Graph, verts: Iterable[int]) -> int:
 def edges_between(g: Graph, xs: Iterable[int], ys: Iterable[int]) -> int:
     """Ordered pair count |{(x, y) in X x Y : xy in E}|; X, Y may overlap."""
     ym = mask_of(ys)
-    return sum((g.adj[x] & ym).bit_count() for x in iter_bits(mask_of(xs)))
+    return sum((g.adj[x] & ym).bit_count() for x in verts_of(mask_of(xs)))
 
 
 def is_clique(g: Graph, verts: Iterable[int]) -> bool:
@@ -274,7 +270,7 @@ def to_text(g: Graph) -> str:
     lines = [f"p {g.n} {g.edge_count}"]
     for u in range(g.n):
         row = g.adj[u] >> (u + 1) << (u + 1)
-        for v in iter_bits(row):
+        for v in verts_of(row):
             lines.append(f"e {u} {v}")
     return "\n".join(lines) + "\n"
 

@@ -281,7 +281,6 @@ class _CycleLayout:
     sequence: list
     inners: list
     rest: int       # pool vertices no joint routed; the absorb stage's demand
-    stage: dict
 
 
 def _close_cycle(g: Graph, k: int, head: KPath, cover, reservoir: int,
@@ -290,8 +289,8 @@ def _close_cycle(g: Graph, k: int, head: KPath, cover, reservoir: int,
 
     Piece order and direction are free choices made greedily per joint;
     inner lengths aim at an even split of the pool over the joints that
-    remain, so the absorb stage inherits as little as possible.  Returns a
-    _CycleLayout, or a dict describing the joint that failed.
+    remain, so the absorb stage inherits as little as possible.  Returns
+    the stage record and the layout, or None for it when a joint failed.
     """
     route = reservoir
     widen = mask_of(cover.leftover)
@@ -341,7 +340,7 @@ def _close_cycle(g: Graph, k: int, head: KPath, cover, reservoir: int,
         if found is None:
             return {"joints": joints, "failed_joint": j,
                     "pool": avail.bit_count(),
-                    "pieces_left": len(available), "seed": seed}
+                    "pieces_left": len(available), "seed": seed}, None
         i, cand, piece = found
         inner = piece.vertices[k:-k]
         im = mask_of(inner)
@@ -358,7 +357,7 @@ def _close_cycle(g: Graph, k: int, head: KPath, cover, reservoir: int,
              "reservoir_used": reservoir_used,
              "leftover_routed": leftover_routed,
              "seed": seed}
-    return _CycleLayout(sequence, inners, route | widen, stage)
+    return stage, _CycleLayout(sequence, inners, route | widen)
 
 
 def _stitch_hitting_cliques(g: Graph, k: int, head: KPath,
@@ -490,16 +489,16 @@ def _attempt(g: Graph, cfg: PipelineConfig, seed: int, max_inner: int,
 
         with _timed(timings, "connect"):
             for head_path in (head, head_rev):
-                layout = _close_cycle(g, k, head_path, cover, reservoir,
-                                      max_inner, xseed.next_u64(), incompat)
-                if isinstance(layout, _CycleLayout):
+                stages["connect"], layout = _close_cycle(
+                    g, k, head_path, cover, reservoir, max_inner,
+                    xseed.next_u64(), incompat)
+                if layout is not None:
                     break
-            if isinstance(layout, dict):
-                stages["connect"] = layout
+            if layout is None:
                 failed = "connect"
                 continue
-            stages["connect"] = layout.stage
-            if layout.stage["reservoir_used"] > len(layout.inners) * max_inner:
+            if (stages["connect"]["reservoir_used"]
+                    > len(layout.inners) * max_inner):
                 raise PowerhamError(
                     "internal: reservoir accounting bound violated")
 
@@ -517,33 +516,62 @@ def _attempt(g: Graph, cfg: PipelineConfig, seed: int, max_inner: int,
 
 
 def _run_pipeline(g: Graph, cfg: PipelineConfig,
-                  hitting: Optional[list[list[tuple[int, ...]]]] = None
+                  sets: Optional[list[tuple[int, ...]]] = None
                   ) -> PipelineResult:
-    """Screen, set up once, then attempt until success or retries run out.
+    """Screen, size up, set up once, then attempt until success or retries
+    run out; every find, with hitting ``sets`` or without, runs here.
 
     ``timings`` covers the whole run: ``obstruction`` (the screen; a hit is
-    re-verified and returned at once), ``setup`` (the mu estimate that sets
-    the connection length ceiling, from the heuristic's degree sweep alone:
-    its local search never moved the ceiling on any benchmark or panel
-    graph) plus every stage of every attempt.
+    re-verified and returned at once), ``setup`` plus every stage of every
+    attempt.  Below 4k vertices stage 1 can never hold two disjoint
+    2k-clique absorbers, so no attempt is made: under ``setup`` the
+    brute-force oracle answers up to ``ORACLE_CAP`` vertices, larger graphs
+    and every hitting-set find are refused.  Otherwise ``setup`` is the mu
+    estimate that sets the connection length ceiling, from the heuristic's
+    degree sweep alone (its local search never moved the ceiling on any
+    benchmark or panel graph), and the listing of each set's connectable
+    k-cliques.
     """
-    n = g.n
+    n, k = g.n, cfg.k
     if n < 2:
         raise InputError("the pipeline needs a graph on at least 2 vertices")
     timings: dict = {}
     with _timed(timings, "obstruction"):
-        hit = screen_obstruction(g, cfg.k)
-        if hit and not verify_obstruction(g, cfg.k, hit):
+        hit = screen_obstruction(g, k)
+        if hit and not verify_obstruction(g, k, hit):
             raise PowerhamError(f"internal: invalid obstruction {hit}")
     if hit:
         note = (f"vertex {hit['vertex']} has degree {hit['degree']} < 2k"
                 if hit["kind"] == "degree" else f"independent set of "
-                f"{len(hit['set'])} > floor(n/(k+1)) = {n // (cfg.k + 1)}")
-        return PipelineResult(None, StageReport(n, cfg.k, 0, "obstruction", {
+                f"{len(hit['set'])} > floor(n/(k+1)) = {n // (k + 1)}")
+        return PipelineResult(None, StageReport(n, k, 0, "obstruction", {
             "obstruction": hit}, timings, (note,)))
+    if n < 4 * k:
+        oracle = sets is None and n <= ORACLE_CAP
+        with _timed(timings, "setup"):
+            cert = brute_force_oracle(g, k) if oracle else None
+        why = f"n < 4k leaves no room for two disjoint {2 * k}-clique absorbers"
+        if oracle:
+            note = f"{why}; answered by the brute-force oracle"
+        elif sets is not None:
+            note = f"refused: {why}"
+        else:
+            note = f"refused: {why}, and n exceeds the oracle cap {ORACLE_CAP}"
+        return PipelineResult(cert, StageReport(
+            n, k, 0, None if cert else "absorbing_path", {}, timings, (note,)))
     with _timed(timings, "setup"):
         mu = inseparable_heuristic(g, seed=0, budget=0).mu_star
-        max_inner = _practical_max_inner(mu, cfg.k)
+        max_inner = _practical_max_inner(mu, k)
+        hitting: Optional[list[list[tuple[int, ...]]]] = None
+        if sets is not None:
+            threshold, hitting = ceil(ZETA * n), []
+            for i, s in enumerate(sets):
+                cands = [cl for cl in list_cliques(g, k, within=mask_of(s))
+                         if is_connectable(g, cl, threshold)]
+                if not cands:
+                    raise InfeasibleSetError(
+                        f"set {i} contains no connectable {k}-clique")
+                hitting.append(cands)
 
     arng = SplitMix64(cfg.seed)
     attempt_seeds = [arng.next_u64() for _ in range(cfg.retries + 1)]
@@ -556,34 +584,13 @@ def _run_pipeline(g: Graph, cfg: PipelineConfig,
             break
         except _StageFailure as f:
             failed, stages = f.stage, f.stages
-    report = StageReport(n, cfg.k, attempt, failed, stages, timings)
+    report = StageReport(n, k, attempt, failed, stages, timings)
     return PipelineResult(cert, report)
-
-
-def _no_room(k: int) -> str:
-    return f"n < 4k leaves no room for two disjoint {2 * k}-clique absorbers"
 
 
 def find_hamiltonian_power(g: Graph, cfg: PipelineConfig) -> PipelineResult:
-    """Run the staged search; the result always carries a stage report.
-
-    Below 4k vertices stage 1 can never hold two disjoint 2k-clique
-    absorbers, so no attempt is made: the brute-force oracle answers up to
-    ``ORACLE_CAP`` vertices and larger graphs are refused, both timed under
-    ``setup``.
-    """
-    n, k = g.n, cfg.k
-    if not 2 <= n < 4 * k:
-        return _run_pipeline(g, cfg)
-    timings: dict = {}
-    with _timed(timings, "setup"):
-        cert = brute_force_oracle(g, k) if n <= ORACLE_CAP else None
-    why = _no_room(k)
-    note = (f"{why}; answered by the brute-force oracle" if n <= ORACLE_CAP
-            else f"refused: {why}, and n exceeds the oracle cap {ORACLE_CAP}")
-    report = StageReport(n, k, 0, None if cert else "absorbing_path", {},
-                         timings, (note,))
-    return PipelineResult(cert, report)
+    """Run the staged search; the result always carries a stage report."""
+    return _run_pipeline(g, cfg)
 
 
 def window_tallies(cert: Certificate, sets: list[tuple[int, ...]]
@@ -604,32 +611,20 @@ def find_with_hitting_sets(g: Graph, cfg: PipelineConfig,
 
     Each requested set contributes at least one clique stitched onto the
     absorbing path, so the final cycle carries k-windows inside every set;
-    the tallies report how many.  Below 4k vertices, where stage 1 has no
-    room, valid sets are refused with no attempt and a note saying why.
+    the tallies report how many.  Sets are validated before the screen;
+    below 4k vertices, where stage 1 has no room, they are refused with no
+    attempt and a note saying why.
     """
     if len(sets) > MAX_HITTING_SETS:
         raise SizeError(f"at most {MAX_HITTING_SETS} sets are supported")
-    k = cfg.k
     for i, s in enumerate(sets):
         if len(set(s)) != len(s):
             raise InputError(f"set {i} repeats vertices")
         if any(not 0 <= v < g.n for v in s):
             raise InputError(f"set {i} leaves the vertex range")
-        if len(s) < 2 * k:
+        if len(s) < 2 * cfg.k:
             raise InputError(f"set {i} is smaller than 2k")
-    if 2 <= g.n < 4 * k:
-        return PipelineResult(None, StageReport(
-            g.n, k, 0, "absorbing_path", {}, {}, (f"refused: {_no_room(k)}",)))
-    threshold = ceil(ZETA * g.n)
-    hitting: list[list[tuple[int, ...]]] = []
-    for i, s in enumerate(sets):
-        cands = [cl for cl in list_cliques(g, k, within=mask_of(s))
-                 if is_connectable(g, cl, threshold)]
-        if not cands:
-            raise InfeasibleSetError(
-                f"set {i} contains no connectable {k}-clique")
-        hitting.append(cands)
-    result = _run_pipeline(g, cfg, hitting=hitting)
+    result = _run_pipeline(g, cfg, sets)
     if not result.ok:
         return result
     tallies = window_tallies(result.certificate, sets)

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from powerham.errors import InputError, NoCliquesError
-from powerham.graph import (Graph, common_neighborhood_mask, iter_bits,
-                            list_cliques, mask_of, verts_of)
+from powerham.graph import (Graph, common_neighborhood_mask, list_cliques,
+                            mask_of, verts_of)
 from powerham.rng import SplitMix64
 
 RESTARTS = 8
@@ -111,7 +111,7 @@ class CliqueHypergraph:
     def iter_edges(self):
         """Each surviving edge once (from its subtuple missing the top vertex)."""
         for tm in self.degree:
-            for w in iter_bits(_extensions(self, tm, _window(self, tm))):
+            for w in verts_of(_extensions(self, tm, _window(self, tm))):
                 if (1 << w) > tm:
                     yield tm | 1 << w
 
@@ -141,7 +141,7 @@ def prune(h: CliqueHypergraph, threshold: int) -> CliqueHypergraph:
     queued = set(work)
     while work:
         t = work.pop()
-        for w in iter_bits(_window(h, t)):
+        for w in verts_of(_window(h, t)):
             e = t | (1 << w)
             if e in removed:
                 continue
@@ -164,13 +164,13 @@ def prune(h: CliqueHypergraph, threshold: int) -> CliqueHypergraph:
 
 def _window(h: CliqueHypergraph, tmask: int) -> int:
     """Live common neighbourhood of a tuple: every w that forms an edge."""
-    return common_neighborhood_mask(h.g, iter_bits(tmask)) & h.live
+    return common_neighborhood_mask(h.g, verts_of(tmask)) & h.live
 
 
 def _extensions(h: CliqueHypergraph, tmask: int, ext: int) -> int:
     """The w in `ext`, a subset of _window(h, tmask), whose edge is alive."""
     if h.removed:
-        for w in iter_bits(ext):
+        for w in verts_of(ext):
             if (tmask | 1 << w) in h.removed:
                 ext ^= 1 << w
     return ext

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from powerham.errors import InputError, SizeError
-from powerham.graph import Graph, common_neighborhood_mask, iter_bits, verts_of
+from powerham.graph import Graph, common_neighborhood_mask, verts_of
 from powerham.rng import SplitMix64
 
 EXACT_SUBSET_CAP = 26       # 2^n subset scans
@@ -158,7 +158,7 @@ def denseness_heuristic(g: Graph, d: Fraction, seed: int = 0,
 
     def deficit_num(mask: int) -> int:
         size = mask.bit_count()
-        e = sum((adj[v] & mask).bit_count() for v in iter_bits(mask)) // 2
+        e = sum((adj[v] & mask).bit_count() for v in verts_of(mask)) // 2
         return p * size * size - 2 * q * e
 
     best = 0
@@ -291,7 +291,7 @@ def inseparable_heuristic(g: Graph, seed: int = 0,
         if mask in (0, full):
             mask = 1
         size = mask.bit_count()
-        cut = sum((adj[v] & ~mask).bit_count() for v in iter_bits(mask))
+        cut = sum((adj[v] & ~mask).bit_count() for v in verts_of(mask))
         improved = True
         while improved and spent < budget:
             improved = False
@@ -362,7 +362,7 @@ def robustly_matchable_exact(g: Graph, rho: Fraction, d: Fraction
         need = p * size * b - a * n * q
         good = 0
         outside = g.full_mask() & ~cur
-        for u in iter_bits(outside):
+        for u in verts_of(outside):
             if q * b * (adj[u] & cur).bit_count() >= need:
                 good += 1
         if b * good < b * size - a * n:

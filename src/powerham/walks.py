@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import floor
 
 from powerham.errors import InputError
-from powerham.graph import Graph, iter_bits
+from powerham.graph import Graph, verts_of
 
 WALK_LEVEL_CAP = 64
 
@@ -62,7 +62,7 @@ def count_walks(g: Graph, x: int, l_max: int) -> WalkCountTable:
     vec = [adj[x] >> v & 1 for v in range(g.n)]  # 0 inner vertices: an edge
     rows = [tuple(vec)]
     for _ in range(l_max):
-        vec = [sum(vec[w] for w in iter_bits(adj[u])) for u in range(g.n)]
+        vec = [sum(vec[w] for w in verts_of(adj[u])) for u in range(g.n)]
         rows.append(tuple(vec))
     return WalkCountTable(x, g.n, tuple(rows))
 

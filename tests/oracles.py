@@ -280,13 +280,13 @@ def recursive_search(g, req, m, budget, priority, pool, dock):
     """``connector._search`` as it was before its nodes were made cheap.
 
     Same contract and arguments, with a ``Budget`` whose ``spend`` each
-    node calls: candidates come from ``iter_bits`` and are sorted by a
+    node calls: candidates come from ``verts_of`` and are sorted by a
     ``(not preferred, rank)`` tuple per candidate, and an empty
     ``priority`` is filled as soon as a level with m > 0 is not refuted.
-    Like ``eager_connect`` it runs ``SplitMix64.shuffle`` and ``iter_bits``
+    Like ``eager_connect`` it runs ``SplitMix64.shuffle`` and ``verts_of``
     from the code under test; it checks the DFS, not those.
     """
-    from powerham.graph import iter_bits
+    from powerham.graph import verts_of
     from powerham.rng import SplitMix64
 
     k = req.k
@@ -315,7 +315,7 @@ def recursive_search(g, req, m, budget, priority, pool, dock):
         j = depth + 1 + k - m
         if j >= 1:
             win &= dock[min(j, k)]
-        cands = sorted(iter_bits(win),
+        cands = sorted(verts_of(win),
                        key=lambda v: (not req.prefer_inner >> v & 1, priority[v]))
         for v in cands:
             seq.append(v)
@@ -362,12 +362,12 @@ def lambda_greedy_tight_path(h, seed, limit=None):
     tuple that stays, ANDed with v's row and popcounted; the largest
     ``(score, -v)`` wins.  Like ``recursive_search`` it runs the code under
     test for the start edge, the windows and the pruned-edge filter
-    (``_start_edge``, ``_window``, ``_extensions``, ``iter_bits``); it
+    (``_start_edge``, ``_window``, ``_extensions``, ``verts_of``); it
     checks the scoring and the choice, not those.
     """
     from collections import deque
 
-    from powerham.graph import iter_bits, mask_of, verts_of
+    from powerham.graph import mask_of, verts_of
     from powerham.pathcover import _extensions, _start_edge, _window
     from powerham.rng import SplitMix64
 
@@ -384,7 +384,7 @@ def lambda_greedy_tight_path(h, seed, limit=None):
             if cands:
                 base = tm ^ (1 << (end[0] if right else end[-1]))
                 around, adj = _window(h, base) & ~used, h.g.adj
-                best = max(iter_bits(cands), key=lambda v: (
+                best = max(verts_of(cands), key=lambda v: (
                     _extensions(h, base | 1 << v, around & adj[v]).bit_count(), -v))
                 if right:
                     seq.append(best)

@@ -156,7 +156,7 @@ def test_find_failure_exit_code_and_stage(tmp_path, capsys):
     code, out = run_json(capsys, ["find", path, "-k", "2", "--json"])
     assert code == 1 and out["ok"] is False
     assert out["certificate"] is None
-    assert out["report"]["failed_stage"] == "absorbing_path"
+    assert out["report"]["failed_stage"] == "obstruction"
 
 
 def test_find_obstructed_graph_names_the_witness(tmp_path, capsys):
@@ -188,8 +188,14 @@ def test_find_below_4k_vertices_answers_without_attempts(tmp_path, capsys, k):
     path = graph_file(tmp_path, Graph.cycle(3 * k + 1))   # too sparse
     assert run(["find", path, "-k", str(k + 1)]) == 1
     captured = capsys.readouterr()
-    assert "stage 'absorbing_path' after 0 attempt(s)" in captured.out
-    assert "oracle" in captured.err
+    if k == 1:
+        # 4 < 2k + 1 vertices: no screen applies, the oracle says no
+        assert "stage 'absorbing_path' after 0 attempt(s)" in captured.out
+        assert "oracle" in captured.err
+    else:
+        # degree 2 < 2k: the screen answers before the oracle
+        assert "stage 'obstruction' after 0 attempt(s)" in captured.out
+        assert "vertex 0 has degree 2 < 2k" in captured.err
 
 
 def test_find_single_vertex_graph_exits_two(tmp_path, capsys):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from powerham.errors import InputError
 from powerham.graph import (MAX_VERTICES, Graph, common_neighborhood_mask,
                             count_cliques, count_ordered_cliques,
-                            edges_between, from_text, is_clique, iter_bits,
+                            edges_between, from_text, is_clique,
                             list_cliques, mask_of, nth_bit, to_text,
                             verts_of)
 from powerham import generators
@@ -101,7 +101,7 @@ def test_complete_5000_builds():
 
 def test_mask_helpers_roundtrip():
     assert verts_of(mask_of([5, 1, 3])) == (1, 3, 5)
-    assert list(iter_bits(0b101001)) == [0, 3, 5]
+    assert verts_of(0b101001) == (0, 3, 5)
     assert verts_of(0) == ()
 
 
@@ -124,7 +124,6 @@ def _dense_and_sparse(width, seed):
 def test_verts_of_matches_bit_by_bit_reading(mask):
     want = tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
     assert verts_of(mask) == want
-    assert tuple(iter_bits(mask)) == want
     assert mask_of(verts_of(mask)) == mask
 
 
@@ -226,7 +225,7 @@ def test_common_neighborhood_mask_matches_edge_set(n, seed, data):
     es = oracles.edge_set(g)
     want = {u for u in range(n)
             if all(frozenset((u, v)) in es for v in verts)}
-    assert set(iter_bits(common_neighborhood_mask(g, verts))) == want
+    assert set(verts_of(common_neighborhood_mask(g, verts))) == want
 
 
 @settings(max_examples=200, deadline=None)

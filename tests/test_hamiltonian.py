@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, count
 from types import SimpleNamespace
@@ -13,7 +14,7 @@ from powerham.generators import (clique_complement, complete_multipartite,
                                  gnp)
 import powerham.generators
 from powerham import hamiltonian
-from powerham.graph import Graph, is_clique
+from powerham.graph import Graph, is_clique, list_cliques
 from powerham.hamiltonian import (STAGES, Certificate, PipelineConfig,
                                   StageReport,
                                   brute_force_oracle, canonicalize,
@@ -211,13 +212,13 @@ def test_graphs_below_4k_vertices_make_no_attempt(k):
         assert res.ok and verify(g, res.certificate)[0]
         rep = res.report
         assert (rep.attempts, rep.failed_stage, rep.stages) == (0, None, {})
-        assert set(rep.timings) == {"setup"}
+        assert set(rep.timings) == {"obstruction", "setup"}
         assert "oracle" in rep.notes[0]
     if k == 2:
-        # C_7 has no square: the oracle's "no" is reported at stage 1
+        # C_7 has no square: the degree screen says so before the oracle
         rep = find_hamiltonian_power(Graph.cycle(7),
                                      PipelineConfig(k=2)).report
-        assert (rep.attempts, rep.failed_stage) == (0, "absorbing_path")
+        assert (rep.attempts, rep.failed_stage) == (0, "obstruction")
 
 
 def test_graphs_below_4k_vertices_past_the_oracle_cap_are_refused():
@@ -225,8 +226,44 @@ def test_graphs_below_4k_vertices_past_the_oracle_cap_are_refused():
     assert not res.ok
     assert (res.report.attempts, res.report.failed_stage) == \
         (0, "absorbing_path")
-    assert set(res.report.timings) == {"setup"}
+    assert set(res.report.timings) == {"obstruction", "setup"}
     assert res.report.notes[0].startswith("refused")
+
+
+def test_screens_answer_below_4k_vertices_before_the_oracle(monkeypatch):
+    # vertex 13 has degree 6 < 2k; the oracle would spend seconds on it
+    def no_oracle(g, k):
+        raise AssertionError("the oracle ran")
+    monkeypatch.setattr(hamiltonian, "brute_force_oracle", no_oracle)
+    res = find_hamiltonian_power(gnp(14, Fraction(4, 5), 9),
+                                 PipelineConfig(k=4))
+    rep = res.report
+    assert res.certificate is None
+    assert (rep.attempts, rep.failed_stage) == (0, "obstruction")
+    assert rep.stages == {
+        "obstruction": {"kind": "degree", "vertex": 13, "degree": 6}}
+    assert rep.notes == ("vertex 13 has degree 6 < 2k",)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda k: st.tuples(
+           st.just(k), st.integers(2 * k + 1, 4 * k - 1))),
+       st.sampled_from([0.5, 0.7, 0.85, 1.0]), st.integers(0, 2 ** 32))
+def test_find_below_4k_vertices_agrees_with_the_oracle(kn, p, seed):
+    # between 2k + 1 and 4k vertices the screens answer first and the
+    # oracle after them, so find says yes exactly when the oracle does
+    (k, n), rnd = kn, random.Random(seed)
+    g = Graph.from_edges(n, [e for e in combinations(range(n), 2)
+                             if rnd.random() < p])
+    res = find_hamiltonian_power(g, PipelineConfig(k=k, seed=0))
+    truth = brute_force_oracle(g, k)
+    assert res.ok == (truth is not None)
+    assert res.report.attempts == 0
+    if res.report.failed_stage == "obstruction":
+        assert oracle_obstruction(g, k, res.report.stages["obstruction"])
+        assert truth is None
+    if res.ok:
+        assert oracle_power_ham_cycle(g, res.certificate.ordering, k)
 
 
 def test_hitting_sets_below_4k_vertices_are_refused():
@@ -521,6 +558,30 @@ def test_hitting_sets_on_an_obstructed_graph_make_no_attempt():
     for bad in ([(1, 2, 2)], [(1,)], [(1, 60)]):
         with pytest.raises(InputError):
             find_with_hitting_sets(g, PipelineConfig(k=1), bad)
+
+
+def test_the_screen_answers_before_an_infeasible_hitting_set():
+    # vertices 0..29 are independent (30 > floor(60/3)), so set 0 holds
+    # no edge, let alone a connectable 2-clique; the screen speaks first
+    g = clique_complement(60, Fraction(1, 2))
+    res = find_with_hitting_sets(g, PipelineConfig(k=2, seed=0),
+                                 [tuple(range(10))])
+    assert (res.report.attempts, res.report.failed_stage) == \
+        (0, "obstruction")
+    assert "setup" not in res.report.timings
+
+
+def test_setup_times_the_hitting_set_clique_listing(monkeypatch):
+    # listing each set's connectable cliques is setup work: a 50 ms
+    # listing must show in timings["setup"]
+    def slow_listing(*args, **kwargs):
+        time.sleep(0.05)
+        return list_cliques(*args, **kwargs)
+    monkeypatch.setattr(hamiltonian, "list_cliques", slow_listing)
+    res = find_with_hitting_sets(Graph.complete(40), PipelineConfig(k=2),
+                                 [tuple(range(10))])
+    assert res.ok
+    assert res.report.timings["setup"] >= 0.05
 
 
 def test_hitting_set_validation():
