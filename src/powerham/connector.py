@@ -6,8 +6,8 @@ their adjacency rows, and iterative deepening on the inner-vertex count
 finds a shortest connection first (the depth-limited DFS explores exactly
 the breadth-first skeleton, but keeps on-path disjointness exact).
 Docking is exact by construction: a level whose fixed (x_end, y_end) pairs
-within distance k are not all edges is refuted before any node is spent,
-and every inner vertex must see the prefix of the target it lies within k
+within distance k are not all edges is refuted before any node is spent (so
+is a level with more inner vertices than the pool holds), and every inner vertex must see the prefix of the target it lies within k
 of, so every leaf the search reaches docks.  Ties break by a vertex order
 shuffled from the request seed once a node has two candidates, so a call
 whose nodes never have a choice (common at k = 1) never draws it.
@@ -73,6 +73,8 @@ def _search(g: Graph, req: ConnectRequest, m: int, budget: _Budget,
     # vertex changes these pairs, so one non-edge refutes the whole level
     if any(not adj[y_end[i]] >> req.x_end[t] & 1
            for i in range(k - m) for t in range(m + i, k)):
+        return None
+    if m > pool.bit_count():   # too few vertices for m inner ones
         return None
     if not m:
         return (*req.x_end, *y_end)

@@ -296,6 +296,8 @@ def recursive_search(g, req, m, budget, priority, pool, dock):
     if any(not adj[req.y_end[i]] >> req.x_end[t] & 1
            for i in range(k - m) for t in range(m + i, k)):
         return None
+    if m > pool.bit_count():   # the pool cannot hold m inner vertices
+        return None
     if m and not priority:   # rank of each vertex in the seeded shuffle
         priority.extend(range(g.n))
         SplitMix64(req.seed).shuffle(priority)

@@ -162,6 +162,21 @@ def test_connect_complete_up_to_enumeration(seed, n, k, p, data):
             assert budget.left == 1 and priority == []
 
 
+def test_level_longer_than_the_pool_spends_no_budget():
+    # two allowed vertices cannot hold three inner ones: refuted at no cost
+    g = Graph.complete(8)
+    req = ConnectRequest((0, 1), (2, 3), k=2, max_inner=3, min_inner=3,
+                         allowed_inner=mask_of((4, 5)), node_budget=5)
+    pool, dock = _masks(g, req)
+    budget = _Budget(5)
+    assert _search(g, req, 3, budget, [], pool, dock) is None
+    assert budget.left == 5
+    assert connect(g, req) is None
+    budget = _Budget(5)
+    assert _search(g, req, 2, budget, [], pool, dock) is not None
+    assert budget.left < 5
+
+
 # ------------------------------------------------------------ lazy order
 
 @settings(max_examples=150, deadline=None)
