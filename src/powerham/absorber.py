@@ -264,11 +264,11 @@ def join_chain(g: Graph, k: int, verts: Iterable[int],
 
     A join runs from the path's last k vertices to the piece's first k;
     its inner vertices avoid everything placed or pending, so pieces stay
-    contiguous.  Seeds come from a fresh ``SplitMix64(seed)``.  Returns the
-    vertices and each piece's start; the first failed join raises
-    AssemblyError naming both end tuples.
+    contiguous.  Every join breaks ties by one key table drawn from seed.
+    Returns the vertices and each piece's start; the first failed join
+    raises AssemblyError naming both end tuples.
     """
-    rng = SplitMix64(seed)
+    keys = SplitMix64(seed).words(g.n)
     verts = list(verts)
     blocked = mask_of(verts) | mask_of(v for piece in pieces for v in piece)
     starts = []
@@ -276,7 +276,7 @@ def join_chain(g: Graph, k: int, verts: Iterable[int],
         x_end, y_end = tuple(verts[-k:]), tuple(piece[:k])
         link = connect(g, ConnectRequest(
             x_end, y_end, k, max_inner, allowed_inner=g.full_mask() & ~blocked,
-            seed=rng.next_u64(), node_budget=node_budget))
+            node_budget=node_budget), keys)
         if link is None:
             raise AssemblyError(f"cannot join {x_end} to {y_end}")
         verts.extend(link.vertices[k:-k])
@@ -314,13 +314,17 @@ def build_absorbing_path(g: Graph, k: int, zeta: Fraction,
 
 def _match(xs: list[int], usable: dict[int, int]
            ) -> tuple[dict[int, int], list[int]]:
-    """Match xs to segments by augmenting paths, ascending, without recursion;
-    ``usable[v]`` is the mask of the segments that can host v.  Returns
+    """Match xs to segments, ascending, without recursion; ``usable[v]`` is
+    the mask of the segments that can host v.  A root takes its lowest free
+    usable segment if it has one, else walks an augmenting path; which path
+    it takes moves segments, never the set of matched roots.  Returns
     segment -> vertex and the unmatched vertices, in xs order."""
     matched: dict[int, int] = {}
+    held = 0                            # mask of the matched segments
     spill = []
     for root in xs:
-        unvisited = -1                  # mask of the segments not tried
+        # mask of the segments not tried: only free ones if any is usable
+        unvisited = ~held if usable[root] & ~held else -1
         todo = [usable[root]]           # usable segments along the path
         taken: list[int] = []           # the segment each path vertex takes
         while todo:
@@ -334,7 +338,8 @@ def _match(xs: list[int], usable: dict[int, int]
             unvisited ^= low
             i = low.bit_length() - 1
             taken.append(i)
-            if i not in matched:
+            if not held & low:
+                held |= low
                 break
             todo.append(usable[matched[i]])
         # root and each vertex it displaces move to the segment taken next

@@ -7,17 +7,18 @@ finds a shortest connection first (the depth-limited DFS explores exactly
 the breadth-first skeleton, but keeps on-path disjointness exact).
 Docking is exact by construction: a level whose fixed (x_end, y_end) pairs
 within distance k are not all edges is refuted before any node is spent (so
-is a level with more inner vertices than the pool holds), and every inner vertex must see the prefix of the target it lies within k
-of, so every leaf the search reaches docks.  Ties break by a vertex order
-shuffled from the request seed once a node has two candidates, so a call
-whose nodes never have a choice (common at k = 1) never draws it.
+is a level with more inner vertices than the pool holds), and every inner
+vertex must see the prefix of the target it lies within k of, so every leaf
+the search reaches docks.  Ties break by ``(not preferred, keys[v])`` over
+a table of ``SplitMix64(seed).words(n)``, which a stage draws once for all
+its calls; a call given none draws its own from ``req.seed``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
-from typing import Optional
+from typing import Optional, Sequence
 
 from powerham.errors import InputError
 from powerham.graph import (Graph, common_neighborhood_mask, is_clique,
@@ -58,15 +59,14 @@ class _Budget:
 
 
 def _search(g: Graph, req: ConnectRequest, m: int, budget: _Budget,
-            priority: list[int], pool: int, dock: list[int]
+            keys: Sequence[int], pool: int, dock: list[int]
             ) -> Optional[tuple[int, ...]]:
     """DFS for a connection with exactly m inner vertices.
 
     Returns a vertex tuple, or None once the space or the budget is spent.
     The budget counts nodes, prefixes with fewer than m inner vertices:
-    one unit of ``budget.left`` each, written back once.  Candidates go
-    ``prefer_inner`` first, then by ``priority`` (vertex -> shuffle rank),
-    filled in O(n) if empty at the first node with two candidates.
+    one unit of ``budget.left`` each, written back once.  Candidates go by
+    ascending ``keys[v]``; ``connect`` lowers the preferred ones by 2**64.
     """
     k, adj, y_end = req.k, g.adj, req.y_end
     # x_end[t] and y_end[i] lie within distance k iff t >= m + i; no inner
@@ -84,17 +84,6 @@ def _search(g: Graph, req: ConnectRequest, m: int, budget: _Budget,
     seq = list(req.x_end) + [0] * m
     # inner vertex i (from 1) must see y_end[:i + k - m] (dock[0] = V)
     docks = [dock[min(max(i + k - m, 0), k)] for i in range(m + 1)]
-    table: list[int] = []   # vertex -> sort key, built on first use
-
-    def rank() -> None:
-        if not priority:
-            priority.extend(range(g.n))
-            SplitMix64(req.seed).shuffle(priority)
-            for r, v in enumerate(priority[:]):
-                priority[v] = r
-        table.extend(priority)
-        for v in verts_of(req.prefer_inner & pool):
-            table[v] -= g.n
 
     def rec(i: int, free: int, win: int) -> Optional[tuple[int, ...]]:
         # a paid node, candidates win != 0; a child with none is not entered
@@ -105,11 +94,9 @@ def _search(g: Graph, req: ConnectRequest, m: int, budget: _Budget,
             cands.append(low.bit_length() - 1)
             win ^= low
         if len(cands) > 1:
-            if not table:
-                rank()
             if i == m:   # the first candidate's child is the answer
-                return (*seq[:-1], min(cands, key=table.__getitem__), *y_end)
-            cands.sort(key=table.__getitem__)
+                return (*seq[:-1], min(cands, key=keys.__getitem__), *y_end)
+            cands.sort(key=keys.__getitem__)
         elif i == m:
             return (*seq[:-1], cands[0], *y_end)
         common = free & docks[i + 1]
@@ -144,15 +131,21 @@ def _masks(g: Graph, req: ConnectRequest) -> tuple[int, list[int]]:
     return pool, dock
 
 
-def connect(g: Graph, req: ConnectRequest) -> Optional[KPath]:
+def connect(g: Graph, req: ConnectRequest,
+            keys: Optional[Sequence[int]] = None) -> Optional[KPath]:
     """Shortest-inner-count connection between the two ordered ends; ties
-    break by a ``req.seed`` shuffle drawn once a node has two candidates."""
+    break by ``keys``, the calling stage's table (``req.seed``'s if None),
+    copied only to lower its preferred pool vertices by 2**64."""
     req._validate(g)
-    priority: list[int] = []
+    keys = SplitMix64(req.seed).words(g.n) if keys is None else keys
     budget = _Budget(req.node_budget)
     pool, dock = _masks(g, req)
+    if lift := req.prefer_inner & pool:
+        keys = list(keys)
+        for v in verts_of(lift):
+            keys[v] -= 1 << 64
     for m in range(req.min_inner, req.max_inner + 1):
-        got = _search(g, req, m, budget, priority, pool, dock)
+        got = _search(g, req, m, budget, keys, pool, dock)
         if got is not None:
             return KPath(req.k, got)
         if budget.left is not None and budget.left <= 0:

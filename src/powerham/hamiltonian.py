@@ -289,12 +289,13 @@ def _close_cycle(g: Graph, k: int, head: KPath, cover, reservoir: int,
 
     Piece order and direction are free choices made greedily per joint;
     inner lengths aim at an even split of the pool over the joints that
-    remain, so the absorb stage inherits as little as possible.  Returns
-    the stage record and the layout, or None for it when a joint failed.
+    remain, so the absorb stage inherits as little as possible.  Every
+    request breaks ties by one key table drawn from seed.  Returns the
+    stage record and the layout, or None for it when a joint failed.
     """
     route = reservoir
     widen = mask_of(cover.leftover)
-    crng = SplitMix64(seed)
+    keys = SplitMix64(seed).words(g.n)
     joints = len(cover.paths) + 1
     sequence: list[KPath] = [head]
     available: list[KPath] = list(cover.paths)
@@ -321,9 +322,8 @@ def _close_cycle(g: Graph, k: int, head: KPath, cover, reservoir: int,
                                      max_inner=t, min_inner=t,
                                      allowed_inner=avail,
                                      prefer_inner=prefer & avail,
-                                     seed=crng.next_u64(),
                                      node_budget=CONNECT_NODE_BUDGET)
-                piece = connect(g, req)
+                piece = connect(g, req, keys)
                 if piece is None:
                     continue
                 if not available:

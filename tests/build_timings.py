@@ -10,9 +10,9 @@ line gives one case's median wall milliseconds over its repeats (at least
 ``gnp(600, 3/4, 0)``, ``gnp(2000, 3/4, 0)``, re-validating
 the rows of that graph with ``Graph(n, rows)``, ``Graph.complete(5000)``,
 ``Graph(MAX_VERTICES, (0,) * MAX_VERTICES)``, ``from_text`` on the
-16 MB text of ``gnp(2000, 3/4, 0)``, and ``rank(300)`` and ``rank(600)``:
-the tie-break order ``connector.connect`` draws on n vertices, a
-``SplitMix64(seed).shuffle`` of range(n) and its inverse.  The next line
+16 MB text of ``gnp(2000, 3/4, 0)``, and ``keys(300)``, ``keys(600)`` and
+``keys(2000)``: the tie-break key table a stage draws once for all its
+``connector.connect`` calls, ``SplitMix64(seed).words(n)``.  The next line
 gives the peak bytes that ``tracemalloc`` saw while the n = 2000 rows were
 validated, next to the n * n bytes an O(n^2) structure would take.  The
 last lines give median microseconds a call of ``verts_of`` and of the
@@ -51,16 +51,6 @@ def peak_bytes(fn):
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     return out, peak
-
-
-def rank(rng_class, n: int) -> list[int]:
-    """Vertex -> rank in a seeded shuffle of range(n), as ``connect`` ranks."""
-    order = list(range(n))
-    rng_class(1729).shuffle(order)
-    priority = [0] * n
-    for r, v in enumerate(order):
-        priority[v] = r
-    return priority
 
 
 def bit_loop(mask: int) -> tuple[int, ...]:
@@ -107,8 +97,9 @@ def main(argv: list[str]) -> int:
         ("edgeless(MAX_VERTICES)",
          lambda: Graph(MAX_VERTICES, (0,) * MAX_VERTICES), 3),
         ("from_text(2000)", lambda: from_text(text), 3),
-        ("rank(300)", lambda: rank(SplitMix64, 300), 301),
-        ("rank(600)", lambda: rank(SplitMix64, 600), 301),
+        ("keys(300)", lambda: SplitMix64(1729).words(300), 301),
+        ("keys(600)", lambda: SplitMix64(1729).words(600), 301),
+        ("keys(2000)", lambda: SplitMix64(1729).words(2000), 301),
     ]
     for name, fn, repeats in cases:
         ms = [s * 1e3 for s in seconds(fn, repeats)]

@@ -229,29 +229,27 @@ def first_asymmetric_pair(rows):
     return None
 
 
-def eager_connect(g, req):
-    """``connect`` with its tie-break order shuffled up front, before any search.
+def eager_connect(g, req, keys=None):
+    """``connect`` as iterative deepening over ``recursive_search``.
 
-    Unlike the rest of this file it runs the code under test: the same
-    ``powerham.connector._search``, handed a full rank table, so a
-    difference from ``connect`` can only come from when the order is drawn.
-    It also draws that order with ``SplitMix64.shuffle`` itself, so it does
-    not check the shuffle; ``per_word_shuffle`` does.
+    Same contract: levels ``min_inner`` up to ``max_inner``, one node budget
+    shared by all of them, ties by ``(not preferred, keys[v])`` with
+    ``keys`` the stage's table or ``SplitMix64(req.seed).words(n)``.  It
+    runs ``ConnectRequest._validate``, ``connector._masks`` and
+    ``SplitMix64.words`` from the code under test; it checks the levels,
+    the budget and the order, not those.
     """
-    from powerham.connector import _Budget, _masks, _search
+    from powerham.connector import _masks
     from powerham.pathcover import KPath
     from powerham.rng import SplitMix64
 
     req._validate(g)
-    order = list(range(g.n))
-    SplitMix64(req.seed).shuffle(order)
-    priority = [0] * g.n
-    for rank, v in enumerate(order):
-        priority[v] = rank
-    budget = _Budget(req.node_budget)
+    if keys is None:
+        keys = SplitMix64(req.seed).words(g.n)
+    budget = Budget(req.node_budget)
     pool, dock = _masks(g, req)
     for m in range(req.min_inner, req.max_inner + 1):
-        got = _search(g, req, m, budget, priority, pool, dock)
+        got = recursive_search(g, req, m, budget, keys, pool, dock)
         if got is not None:
             return KPath(req.k, got)
         if budget.left is not None and budget.left <= 0:
@@ -276,18 +274,17 @@ class Budget:
         return True
 
 
-def recursive_search(g, req, m, budget, priority, pool, dock):
+def recursive_search(g, req, m, budget, keys, pool, dock):
     """``connector._search`` as it was before its nodes were made cheap.
 
     Same contract and arguments, with a ``Budget`` whose ``spend`` each
-    node calls: candidates come from ``verts_of`` and are sorted by a
-    ``(not preferred, rank)`` tuple per candidate, and an empty
-    ``priority`` is filled as soon as a level with m > 0 is not refuted.
-    Like ``eager_connect`` it runs ``SplitMix64.shuffle`` and ``verts_of``
-    from the code under test; it checks the DFS, not those.
+    node calls and ``keys`` the stage's table as drawn: candidates come
+    from ``verts_of`` and are sorted by a ``(not preferred, keys[v])``
+    tuple per candidate, so ``connect``'s lowering of the preferred keys is
+    not needed here.  It runs ``verts_of`` from the code under test; it
+    checks the DFS, not that.
     """
     from powerham.graph import verts_of
-    from powerham.rng import SplitMix64
 
     k = req.k
     adj = g.adj
@@ -298,11 +295,6 @@ def recursive_search(g, req, m, budget, priority, pool, dock):
         return None
     if m > pool.bit_count():   # the pool cannot hold m inner vertices
         return None
-    if m and not priority:   # rank of each vertex in the seeded shuffle
-        priority.extend(range(g.n))
-        SplitMix64(req.seed).shuffle(priority)
-        for rank, v in enumerate(priority[:]):
-            priority[v] = rank
     seq = list(req.x_end)
 
     def rec(depth, used):
@@ -318,7 +310,7 @@ def recursive_search(g, req, m, budget, priority, pool, dock):
         if j >= 1:
             win &= dock[min(j, k)]
         cands = sorted(verts_of(win),
-                       key=lambda v: (not req.prefer_inner >> v & 1, priority[v]))
+                       key=lambda v: (not req.prefer_inner >> v & 1, keys[v]))
         for v in cands:
             seq.append(v)
             got = rec(depth + 1, used | 1 << v)
@@ -328,6 +320,39 @@ def recursive_search(g, req, m, budget, priority, pool, dock):
         return None
 
     return rec(0, 0)
+
+
+def lowest_first_match(xs, usable):
+    """``absorber._match`` before it took free segments first.
+
+    Every root walks an augmenting path from its lowest usable segment,
+    ascending, without recursion; ``usable[v]`` is a segment mask.  Same
+    spill list and matching size as ``_match``, and the same segments as
+    ``recursive_match``.
+    """
+    matched = {}
+    spill = []
+    for root in xs:
+        unvisited = -1
+        todo = [usable[root]]
+        taken = []
+        while todo:
+            free = todo[-1] & unvisited
+            if not free:
+                todo.pop()
+                del taken[-1:]
+                continue
+            low = free & -free
+            unvisited ^= low
+            i = low.bit_length() - 1
+            taken.append(i)
+            if i not in matched:
+                break
+            todo.append(usable[matched[i]])
+        matched.update(zip(taken, [root] + [matched[i] for i in taken[:-1]]))
+        if not todo:
+            spill.append(root)
+    return matched, spill
 
 
 def recursive_match(xs, usable):

@@ -29,7 +29,7 @@ from powerham.hamiltonian import _family_target
 from powerham.pathcover import KPath, is_valid_kpath
 from powerham.rng import SplitMix64
 
-from oracles import oracle_is_kpath, recursive_match
+from oracles import lowest_first_match, oracle_is_kpath, recursive_match
 
 
 def two_disjoint_cliques(size: int) -> Graph:
@@ -442,9 +442,32 @@ def test_absorption_preserves_validity_across_seeds():
 def test_match_agrees_with_recursive_oracle(rows):
     xs = list(range(100, 100 + len(rows)))
     usable = dict(zip(xs, rows))
-    matched, spill = _match(xs, {v: mask_of(row) for v, row in usable.items()})
+    masks = {v: mask_of(row) for v, row in usable.items()}
     want, want_spill = recursive_match(xs, usable)
-    assert list(matched.items()) == list(want.items()) and spill == want_spill
+    _assert_same_matching(xs, masks, _match(xs, masks), len(want), want_spill)
+
+
+def _assert_same_matching(xs, usable, got, size, spill):
+    """got = (segment -> vertex, spill) is a matching of xs into their
+    usable segments with the given size and spill list."""
+    matched, got_spill = got
+    assert got_spill == spill and len(matched) == size
+    assert sorted([*matched.values(), *got_spill]) == sorted(xs)
+    assert all(usable[v] >> i & 1 for i, v in matched.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda segs: st.lists(
+    st.integers(0, (1 << segs) - 1)
+    | st.lists(st.integers(0, segs - 1), max_size=3).map(mask_of),
+    max_size=60)))
+def test_match_agrees_with_lowest_first_match(masks):
+    # the former walk from each root's lowest segment matches the same
+    # roots, so only the segments they get may differ
+    xs = list(range(len(masks)))
+    usable = dict(zip(xs, masks))
+    want, want_spill = lowest_first_match(xs, usable)
+    _assert_same_matching(xs, usable, _match(xs, usable), len(want), want_spill)
 
 
 def _stack_depth():
@@ -455,12 +478,18 @@ def _stack_depth():
 
 
 def test_absorb_survives_a_long_augmenting_chain():
-    # vertex 600 + j finds every segment below j taken, so its augmenting
-    # path walks j matched segments: 250 levels deep at the last vertex
-    g = Graph.complete(900)
+    # segment i is path vertices 2i, 2i + 1; vertex 600 + j hosts segments
+    # j and j + 1 and takes j free, and vertex 850 hosts only segment 0, so
+    # its augmenting path walks 250 matched segments
+    rows = [(1 << 600) - 1 ^ 1 << u for u in range(600)] + [0] * 251
+    for x, segs in [(600 + j, (j, j + 1)) for j in range(250)] + [(850, (0,))]:
+        for u in (w for i in segs for w in (2 * i, 2 * i + 1)):
+            rows[x] |= 1 << u
+            rows[u] |= 1 << x
+    g = Graph(851, tuple(rows))
     pa = AbsorbingPath(KPath(1, tuple(range(600))), tuple(range(300)),
                        tuple(range(0, 600, 2)))
-    xs = range(600, 850)
+    xs = range(600, 851)
     want = absorb(g, pa, xs)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 100)
@@ -469,4 +498,5 @@ def test_absorb_survives_a_long_augmenting_chain():
     finally:
         sys.setrecursionlimit(limit)
     assert got == want
-    assert set(got.vertices) == set(range(850))
+    assert got.vertices[:3] == (0, 850, 1)
+    assert set(got.vertices) == set(range(851))

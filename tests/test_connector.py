@@ -3,12 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from types import SimpleNamespace
+
+import powerham.absorber as absorber
+import powerham.hamiltonian as hamiltonian
 from powerham.connector import (ConnectRequest, _Budget, _masks, _search,
                                 connect)
 from powerham.errors import InputError
 from powerham.generators import gnp
 from powerham.graph import Graph, list_cliques, mask_of
-from powerham.pathcover import is_valid_kpath
+from powerham.pathcover import KPath, is_valid_kpath
+from powerham.rng import SplitMix64
 
 from oracles import (Budget, eager_connect, oracle_connection_count,
                      oracle_is_kpath, recursive_search)
@@ -154,12 +159,12 @@ def test_connect_complete_up_to_enumeration(seed, n, k, p, data):
             assert path.vertices[:k] == x and path.vertices[-k:] == y
             assert oracle_is_kpath(g, path.vertices, k)
         # a non-edge among the end pairs within distance k refutes the
-        # level before it spends a node or draws the tie-break order
+        # level before it spends a node
         if any(not g.adj[y[i]] >> x[t] & 1
                for i in range(k) for t in range(m + i, k)):
-            budget, priority = _Budget(1), []
-            assert _search(g, req, m, budget, priority, *_masks(g, req)) is None
-            assert budget.left == 1 and priority == []
+            budget, keys = _Budget(1), SplitMix64(seed).words(n)
+            assert _search(g, req, m, budget, keys, *_masks(g, req)) is None
+            assert budget.left == 1
 
 
 def test_level_longer_than_the_pool_spends_no_budget():
@@ -168,21 +173,21 @@ def test_level_longer_than_the_pool_spends_no_budget():
     req = ConnectRequest((0, 1), (2, 3), k=2, max_inner=3, min_inner=3,
                          allowed_inner=mask_of((4, 5)), node_budget=5)
     pool, dock = _masks(g, req)
-    budget = _Budget(5)
-    assert _search(g, req, 3, budget, [], pool, dock) is None
+    budget, keys = _Budget(5), SplitMix64(0).words(8)
+    assert _search(g, req, 3, budget, keys, pool, dock) is None
     assert budget.left == 5
     assert connect(g, req) is None
     budget = _Budget(5)
-    assert _search(g, req, 2, budget, [], pool, dock) is not None
+    assert _search(g, req, 2, budget, keys, pool, dock) is not None
     assert budget.left < 5
 
 
-# ------------------------------------------------------------ lazy order
+# -------------------------------------------------------------- key table
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(5, 12), st.sampled_from([Fraction(1, 2), Fraction(3, 4)]),
        st.integers(0, 2 ** 32), st.integers(1, 3), st.data())
-def test_lazy_order_matches_eager_order(n, p, gseed, k, data):
+def test_connect_matches_key_table_oracle(n, p, gseed, k, data):
     g = gnp(n, p, gseed)
     cliques = list(list_cliques(g, k))
     if not cliques:
@@ -203,36 +208,67 @@ def test_lazy_order_matches_eager_order(n, p, gseed, k, data):
         node_budget=data.draw(st.one_of(st.none(), st.integers(0, 40))),
         min_inner=data.draw(st.integers(0, max_inner)))
     assert connect(g, req) == eager_connect(g, req)
+    # a stage's own table, ties included, overrides req.seed
+    keys = data.draw(st.lists(st.integers(0, 3) | st.integers(0, 2 ** 64 - 1),
+                              min_size=n, max_size=n))
+    assert connect(g, req, keys) == eager_connect(g, req, keys)
 
 
-def test_search_with_single_candidates_draws_no_order():
-    # the square of a path on 6 vertices: from (0, 1) to (4, 5) every node
-    # has one candidate, so the search never ranks and never shuffles
-    g = Graph.from_edges(6, [(u, v) for u in range(6)
-                             for v in range(u + 1, min(u + 3, 6))])
-    req = ConnectRequest((0, 1), (4, 5), k=2, max_inner=2, seed=7)
-    budget, priority = _Budget(None), []
-    got = _search(g, req, 2, budget, priority, *_masks(g, req))
-    assert got == (0, 1, 2, 3, 4, 5) and priority == []
-    budget = _Budget(5)
-    assert _search(g, req, 2, budget, priority, *_masks(g, req)) == got
-    assert budget.left == 3 and priority == []
-    assert connect(g, req).vertices == got
+def test_each_stage_draws_one_key_table(monkeypatch):
+    draws, tables = [], []
+    words = SplitMix64.words
+
+    def spy_words(rng, count):
+        draws.append(count)
+        return words(rng, count)
+
+    def spy_connect(g, req, keys=None):
+        tables.append(keys)
+        return connect(g, req, keys)
+
+    g = gnp(40, Fraction(3, 4), 1)
+    cliques, taken = [], 0
+    for c in list_cliques(g, 4):
+        if not mask_of(c) & taken:
+            cliques.append(c)
+            taken |= mask_of(c)
+    head, *pieces = cliques[:4]
+    monkeypatch.setattr(SplitMix64, "words", spy_words)
+    monkeypatch.setattr(absorber, "connect", spy_connect)
+    monkeypatch.setattr(hamiltonian, "connect", spy_connect)
+    absorber.join_chain(g, 2, head, pieces, 5, 6, None)
+    assert draws == [g.n] and len(tables) == 3
+    assert all(t is tables[0] for t in tables)
+
+    draws.clear(), tables.clear()
+    cover = SimpleNamespace(paths=[KPath(2, c) for c in pieces], leftover=())
+    reservoir = g.full_mask() & ~taken
+    stage, layout = hamiltonian._close_cycle(g, 2, KPath(2, head), cover,
+                                             reservoir, 8, 7)
+    assert layout is not None and stage["joints"] == 4
+    assert draws == [g.n] and len(tables) >= 4
+    assert all(t is tables[0] for t in tables)
+
+    # a call handed no table draws its own from req.seed
+    draws.clear()
+    connect(g, ConnectRequest(head[:2], pieces[0][:2], k=2, max_inner=4))
+    assert draws == [g.n]
 
 
 # ------------------------------------------------------ recursive search
 
-def _same_search(g, req, m, limit, priority):
-    """Run ``_search`` and the recursive oracle on copies of one state;
-    assert the same answer and the same nodes spent, return the answer."""
+def _same_search(g, req, m, limit, keys):
+    """Run ``_search``, its preferred keys lowered as ``connect`` lowers
+    them, and the recursive oracle on the drawn keys; assert the same
+    answer and the same nodes spent, return the answer."""
     pool, dock = _masks(g, req)
+    lift = req.prefer_inner & pool
+    table = [w - ((lift >> v & 1) << 64) for v, w in enumerate(keys)]
     budget, want_budget = _Budget(limit), Budget(limit)
-    got_order, want_order = list(priority), list(priority)
-    got = _search(g, req, m, budget, got_order, pool, dock)
-    want = recursive_search(g, req, m, want_budget, want_order, pool, dock)
+    got = _search(g, req, m, budget, table, pool, dock)
+    want = recursive_search(g, req, m, want_budget, keys, pool, dock)
     assert got == want
     assert budget.left == want_budget.left
-    assert got_order in ([], want_order)
     return got
 
 
@@ -240,7 +276,7 @@ def _same_search(g, req, m, limit, priority):
 @given(st.integers(5, 14), st.sampled_from([Fraction(1, 2), Fraction(3, 4)]),
        st.integers(0, 2 ** 32), st.integers(1, 3), st.integers(0, 5),
        st.sampled_from([None, 0, 1, 2, 7, 50]), st.booleans(), st.data())
-def test_search_matches_recursive_search(n, p, gseed, k, m, limit, eager,
+def test_search_matches_recursive_search(n, p, gseed, k, m, limit, ties,
                                          data):
     g = gnp(n, p, gseed)
     cliques = list(list_cliques(g, k))
@@ -257,18 +293,21 @@ def test_search_matches_recursive_search(n, p, gseed, k, m, limit, eager,
         allowed_inner=data.draw(st.one_of(st.none(), masks)),
         prefer_inner=data.draw(masks),
         seed=data.draw(st.integers(0, 2 ** 64 - 1)))
-    # a bare shuffle-rank table, as eager_connect hands one, or none yet
-    priority = data.draw(st.permutations(range(n))) if eager else []
-    _same_search(g, req, m, limit, priority)
+    # a stage's key table: 64-bit words, or few values so keys tie
+    top = 3 if ties else 2 ** 64 - 1
+    keys = data.draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+    _same_search(g, req, m, limit, keys)
 
 
 def test_search_budget_dies_mid_level():
-    # found at the 14th node: 13 nodes cut the level short, 14 just do
+    # found at the 5th node (the oracle's path and count): 4 nodes cut the
+    # level short, 5 just do
     g = gnp(14, Fraction(1, 2), 0)
     req = ConnectRequest((0, 2), (3, 4), k=2, max_inner=5, seed=3)
-    path = _same_search(g, req, 5, None, [])
-    assert path == (0, 2, 5, 13, 12, 9, 11, 3, 4)
-    for limit in (2, 7, 13):
-        assert _same_search(g, req, 5, limit, []) is None
-    assert _same_search(g, req, 5, 14, []) == path
-    assert _same_search(g, req, 5, 15, []) == path
+    keys = SplitMix64(3).words(14)
+    path = _same_search(g, req, 5, None, keys)
+    assert path == (0, 2, 5, 13, 12, 9, 6, 3, 4)
+    for limit in (2, 3, 4):
+        assert _same_search(g, req, 5, limit, keys) is None
+    assert _same_search(g, req, 5, 5, keys) == path
+    assert _same_search(g, req, 5, 6, keys) == path

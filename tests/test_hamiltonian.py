@@ -403,16 +403,16 @@ def test_seeded_output_matches_pinned_panel_digests():
     got = {name: (count, sha.hexdigest())
            for name, (count, sha) in sections.items()}
     assert got == {
-        "dense_k3": (4, "66ed07ac9359092cd1759d95a55c9a76"
-                        "24e9e644fd5a92e8f639619b56bf7b2a"),
-        "large_k1": (2, "a160f16027ff0e90ca6cd00f8919513c"
-                        "ceba99ff70fef17bd606052d3779b812"),
-        "retry_k3": (48, "c4ab230e1cb537ac743f16fa0f2b24d8"
-                         "e692c409a10be1410c365d1d195e1a78"),
+        "dense_k3": (4, "c175ea9855667242ef8aac8a998188f6"
+                        "3845845d80ca4d84cd941961102547ff"),
+        "large_k1": (2, "adc76cf251718a8998496dadace43dad"
+                        "c6441147e46da81733a172970c1453c1"),
+        "retry_k3": (48, "2cd27b222ab13b60ec1023df400aca0d"
+                         "cc9abd52a31e1e8c3754aeee441458e7"),
         "no_power": (8, "413222db44ca8b5d21df6f633f6d1aa5"
                         "a28b628490caf64f8a8d58528f056e42"),
-        "hitting": (2, "b227d90c10d01f63e9c584f4089d450a"
-                       "1cb47b21b28ca007031cb4f7e4f7a734"),
+        "hitting": (2, "79c55d8a35f01b3932006f773f99ffcf"
+                       "58a1e20846caacd6d327d6121b602cb4"),
     }
 
 
