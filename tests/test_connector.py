@@ -1,9 +1,9 @@
 from fractions import Fraction
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-from types import SimpleNamespace
 
 import powerham.absorber as absorber
 import powerham.hamiltonian as hamiltonian
@@ -240,7 +240,8 @@ def test_each_stage_draws_one_key_table(monkeypatch):
     assert draws == [g.n] and len(tables) == 3
     assert all(t is tables[0] for t in tables)
 
-    draws.clear(), tables.clear()
+    draws.clear()
+    tables.clear()
     cover = SimpleNamespace(paths=[KPath(2, c) for c in pieces], leftover=())
     reservoir = g.full_mask() & ~taken
     stage, layout = hamiltonian._close_cycle(g, 2, KPath(2, head), cover,
