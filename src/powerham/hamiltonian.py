@@ -280,16 +280,18 @@ class _CycleLayout:
     """A successful cyclic hookup of the head and the cover paths."""
     sequence: list
     inners: list
-    rest: int       # pool vertices no joint routed; the absorb stage's demand
+    absorbed: KPath     # the absorbing path, each pool vertex left absorbed
 
 
-def _close_cycle(g: Graph, k: int, head: KPath, cover, reservoir: int,
+def _close_cycle(g: Graph, k: int, head: KPath, pa, cover, reservoir: int,
                  max_inner: int, seed: int, prefer: int = 0):
     """Join head and cover paths into one cycle, routing through the pool.
 
     Piece order and direction are free choices made greedily per joint;
     inner lengths aim at an even split of the pool over the joints that
-    remain, so the absorb stage inherits as little as possible.  Every
+    remain.  At the closing joint the absorbing path ``pa`` is the only
+    other taker, so its ladder starts at half the pool, and a closure
+    counts only if ``absorb`` takes every pool vertex it leaves.  Every
     request breaks ties by one key table drawn from seed.  Returns the
     stage record and the layout, or None for it when a joint failed.
     """
@@ -305,7 +307,8 @@ def _close_cycle(g: Graph, k: int, head: KPath, cover, reservoir: int,
     cur = head
     for j in range(joints):
         avail = route | widen
-        share = ceil(avail.bit_count() / (joints - j)) if avail else 0
+        # the closing joint splits the pool with the absorbing path
+        share = ceil(avail.bit_count() / max(joints - j, 2))
         target = min(share, max_inner, avail.bit_count())
         if available:
             options = [(i, p) for i, p in enumerate(available)]
@@ -327,11 +330,11 @@ def _close_cycle(g: Graph, k: int, head: KPath, cover, reservoir: int,
                 if piece is None:
                     continue
                 if not available:
-                    # closing joint: a closure that strands a vertex no
-                    # segment can host would doom the absorb stage, so
-                    # keep looking for one that routes them all
-                    im = mask_of(piece.vertices[k:-k])
-                    if (avail & ~im) & prefer:
+                    # closing joint: keep a closure only if its rest absorbs
+                    try:
+                        absorbed = absorb(g, pa, verts_of(
+                            avail & ~mask_of(piece.vertices[k:-k])))
+                    except CapacityError:
                         continue
                 found = (i, cand, piece)
                 break
@@ -357,7 +360,7 @@ def _close_cycle(g: Graph, k: int, head: KPath, cover, reservoir: int,
              "reservoir_used": reservoir_used,
              "leftover_routed": leftover_routed,
              "seed": seed}
-    return stage, _CycleLayout(sequence, inners, route | widen)
+    return stage, _CycleLayout(sequence, inners, absorbed)
 
 
 def _stitch_hitting_cliques(g: Graph, k: int, head: KPath,
@@ -365,8 +368,10 @@ def _stitch_hitting_cliques(g: Graph, k: int, head: KPath,
                             max_inner: int) -> KPath:
     """Pick one clique per hitting set off the head; chain them onto its y end.
 
-    Raises AssemblyError when every candidate of a set meets the path or an
-    earlier pick, or when ``join_chain`` cannot join a clique on.
+    The picks shuffle from ``SplitMix64(seed)``; the join's key table is
+    seeded by the next word.  Raises AssemblyError when every candidate of
+    a set meets the path or an earlier pick, or when ``join_chain`` cannot
+    join a clique on.
     """
     hrng = SplitMix64(seed)
     chosen: list[tuple[int, ...]] = []
@@ -379,22 +384,22 @@ def _stitch_hitting_cliques(g: Graph, k: int, head: KPath,
             raise AssemblyError(f"every clique of hitting set {i} is taken")
         chosen.append(pick)
         taken |= mask_of(pick)
-    verts, _ = join_chain(g, k, head.vertices, chosen, seed, max_inner,
-                          ASSEMBLY_NODE_BUDGET)
+    verts, _ = join_chain(g, k, head.vertices, chosen, hrng.next_u64(),
+                          max_inner, ASSEMBLY_NODE_BUDGET)
     return KPath(k, tuple(verts))
 
 
-def _certify(g: Graph, k: int, head: KPath, pa, layout: _CycleLayout,
-             new_head: KPath) -> Certificate:
+def _certify(g: Graph, k: int, head: KPath, pa, layout: _CycleLayout
+             ) -> Certificate:
     """Read the cycle off the layout, with the absorbed head in its place."""
     head_suffix = head.vertices[len(pa.path.vertices):]
     if layout.sequence[0] is head:
-        ordering = list(new_head.vertices) + list(head_suffix)
+        ordering = list(layout.absorbed.vertices) + list(head_suffix)
     else:
         # the chain docked the head back to front; insertions into the
         # segment midpoints stay valid under reversal
         ordering = list(reversed(head_suffix))
-        ordering += list(reversed(new_head.vertices))
+        ordering += list(reversed(layout.absorbed.vertices))
     for piece, inner in zip(layout.sequence[1:], layout.inners):
         ordering.extend(inner)
         ordering.extend(piece.vertices)
@@ -450,14 +455,13 @@ def _attempt(g: Graph, cfg: PipelineConfig, seed: int, max_inner: int,
         incompat = g.full_mask() & ~head.mask & ~pa.hostable(g)
 
     # -- stages 2-5, with one reservoir resample allowed: when the cycle
-    # cannot be closed or a straggler cannot be absorbed, a fresh reservoir
+    # cannot be closed by a closure whose rest absorbs, a fresh reservoir
     # reshuffles both the cover and the demand set, far cheaper than
     # rebuilding the family
     rseed = SplitMix64(s_reservoir)
     cseed = SplitMix64(s_cover)
     xseed = SplitMix64(s_connect)
     head_rev = KPath(k, tuple(reversed(head.vertices)))
-    failed = "connect"
     for rnd in range(2):
         with _timed(timings, "reservoir"):
             round_seed = rseed.next_u64()
@@ -490,29 +494,23 @@ def _attempt(g: Graph, cfg: PipelineConfig, seed: int, max_inner: int,
         with _timed(timings, "connect"):
             for head_path in (head, head_rev):
                 stages["connect"], layout = _close_cycle(
-                    g, k, head_path, cover, reservoir, max_inner,
+                    g, k, head_path, pa, cover, reservoir, max_inner,
                     xseed.next_u64(), incompat)
                 if layout is not None:
                     break
             if layout is None:
-                failed = "connect"
                 continue
             if (stages["connect"]["reservoir_used"]
                     > len(layout.inners) * max_inner):
                 raise PowerhamError(
                     "internal: reservoir accounting bound violated")
 
-        # -- stage 5: absorb the rest into the absorbing path
+        # -- stage 5: the closure absorbed the rest; certify the cycle
         with _timed(timings, "absorb"):
-            demand = verts_of(layout.rest)
-            stages["absorb"] = {"absorbed": len(demand), "capacity": capacity}
-            try:
-                new_head = absorb(g, pa, demand)
-            except CapacityError:
-                failed = "absorb"
-                continue
-            return _certify(g, k, head, pa, layout, new_head), stages
-    raise _StageFailure(failed, stages)
+            stages["absorb"] = {"absorbed": len(layout.absorbed)
+                                - len(pa.path), "capacity": capacity}
+            return _certify(g, k, head, pa, layout), stages
+    raise _StageFailure("connect", stages)
 
 
 def _run_pipeline(g: Graph, cfg: PipelineConfig,

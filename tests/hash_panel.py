@@ -10,7 +10,7 @@ It hashes every find's certificate, ``report.to_json_dict()`` and, for
 hitting-set finds, the window tallies.  The panel has six sections: the
 criterion-5 cells, graphs shaped like each benchmark workload
 (``dense_k3``, ``large_k1``, ``retry_k3``, ``no_power``) and two
-hitting-set finds; it takes 4-6 s on a 2-CPU machine.  One ``section``
+hitting-set finds; it takes 1-2 s on a 2-CPU machine.  One ``section``
 line per section gives its find count and SHA-256, so a mismatch names
 where it arose; the last two lines give the total find count and one
 SHA-256 over the same bytes in panel order.  ``digests`` runs chosen

@@ -227,7 +227,12 @@ def test_each_stage_draws_one_key_table(monkeypatch):
         return connect(g, req, keys)
 
     g = gnp(40, Fraction(3, 4), 1)
-    cliques, taken = [], 0
+    # the closing joint absorbs its rest, so the cycle closes on a real
+    # absorbing path; the cliques avoid it
+    family, _ = absorber.sample_family(g, 2, hamiltonian.ZETA, Fraction(1),
+                                       seed=0, max_members=4)
+    pa = absorber.build_absorbing_path(g, 2, hamiltonian.ZETA, family, seed=0)
+    cliques, taken = [], pa.path.mask
     for c in list_cliques(g, 4):
         if not mask_of(c) & taken:
             cliques.append(c)
@@ -244,7 +249,7 @@ def test_each_stage_draws_one_key_table(monkeypatch):
     tables.clear()
     cover = SimpleNamespace(paths=[KPath(2, c) for c in pieces], leftover=())
     reservoir = g.full_mask() & ~taken
-    stage, layout = hamiltonian._close_cycle(g, 2, KPath(2, head), cover,
+    stage, layout = hamiltonian._close_cycle(g, 2, pa.path, pa, cover,
                                              reservoir, 8, 7)
     assert layout is not None and stage["joints"] == 4
     assert draws == [g.n] and len(tables) >= 4

@@ -8,13 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powerham.errors import (InfeasibleSetError, InputError, PowerhamError,
-                             SizeError)
+from powerham import connector
+from powerham.absorber import AbsorbingPath
+from powerham.errors import (CapacityError, InfeasibleSetError, InputError,
+                             PowerhamError, SizeError)
 from powerham.generators import (clique_complement, complete_multipartite,
                                  gnp)
 import powerham.generators
 from powerham import hamiltonian
-from powerham.graph import Graph, is_clique, list_cliques
+from powerham.graph import Graph, is_clique, list_cliques, mask_of
 from powerham.hamiltonian import (STAGES, Certificate, PipelineConfig,
                                   StageReport,
                                   brute_force_oracle, canonicalize,
@@ -23,6 +25,7 @@ from powerham.hamiltonian import (STAGES, Certificate, PipelineConfig,
                                   find_with_hitting_sets,
                                   screen_obstruction, verify,
                                   verify_obstruction, window_tallies)
+from powerham.pathcover import KPath, is_valid_kpath
 from powerham.rng import SplitMix64
 
 import hash_panel
@@ -407,12 +410,12 @@ def test_seeded_output_matches_pinned_panel_digests():
                         "3845845d80ca4d84cd941961102547ff"),
         "large_k1": (2, "adc76cf251718a8998496dadace43dad"
                         "c6441147e46da81733a172970c1453c1"),
-        "retry_k3": (48, "2cd27b222ab13b60ec1023df400aca0d"
-                         "cc9abd52a31e1e8c3754aeee441458e7"),
+        "retry_k3": (48, "4c73287a66f4ee99ae32968683161c7f"
+                         "f551374fc3351e4bf58f910af3dbac78"),
         "no_power": (8, "413222db44ca8b5d21df6f633f6d1aa5"
                         "a28b628490caf64f8a8d58528f056e42"),
-        "hitting": (2, "79c55d8a35f01b3932006f773f99ffcf"
-                       "58a1e20846caacd6d327d6121b602cb4"),
+        "hitting": (2, "607b6e1c384183e7c4a19934df9354b8"
+                       "4d799b620ba8c5badfaa477cd12fe77b"),
     }
 
 
@@ -466,6 +469,117 @@ def test_timings_cover_setup_and_every_attempt(monkeypatch):
                                "reservoir": 2 * rep.attempts,
                                "cover": 2 * rep.attempts,
                                "connect": 2 * rep.attempts}
+
+
+def _spy_absorb(monkeypatch):
+    """Record (demand, absorbed?) for every ``absorb`` the pipeline calls."""
+    calls, absorb = [], hamiltonian.absorb
+
+    def spy(g, pa, xs):
+        xs = list(xs)
+        try:
+            out = absorb(g, pa, xs)
+        except CapacityError:
+            calls.append((xs, False))
+            raise
+        calls.append((xs, True))
+        return out
+    monkeypatch.setattr(hamiltonian, "absorb", spy)
+    return calls
+
+
+def _close_alone(g, pa, pool, seed):
+    """Close ``pa.path`` on itself through ``pool``: one closing joint."""
+    cover = SimpleNamespace(paths=[], leftover=())
+    return hamiltonian._close_cycle(g, pa.path.k, pa.path, pa, cover, pool,
+                                    12, seed)
+
+
+def test_closing_joint_moves_past_a_rest_over_capacity(monkeypatch):
+    # two k=1 segments host 2 vertices; the ladder starts at half the pool
+    # (5 inner of 10), goes down to 0, then up until the rest fits at 8
+    calls = _spy_absorb(monkeypatch)
+    g = Graph.complete(14)
+    pa = AbsorbingPath(KPath(1, (0, 1, 2, 3)), (0, 1), (0, 2))
+    stage, layout = _close_alone(g, pa, mask_of(range(4, 14)), 0)
+    assert [(len(xs), ok) for xs, ok in calls] == [
+        (5, False), (6, False), (7, False), (8, False), (9, False),
+        (10, False), (4, False), (3, False), (2, True)]
+    assert stage["inner_total"] == 8 and len(layout.inners[0]) == 8
+    assert layout.absorbed.vertices[:1] == (0,)
+    assert sorted(layout.absorbed.vertices) == sorted(
+        (0, 1, 2, 3, *calls[-1][0]))
+    assert is_valid_kpath(g, layout.absorbed)
+
+
+def test_closing_joint_moves_past_a_closure_that_strands_a_vertex(
+        monkeypatch):
+    # vertex 12 misses one vertex of every segment, so no segment hosts it;
+    # the first closure (4 inner of 8) leaves it behind with a rest of 4,
+    # within the 4 segments' capacity, and only the 5-inner one routes it
+    calls = _spy_absorb(monkeypatch)
+    miss = {1, 3, 5, 6}
+    g = Graph.from_edges(16, [e for e in combinations(range(16), 2)
+                              if not (12 in e and set(e) & miss)])
+    pa = AbsorbingPath(KPath(1, tuple(range(8))), (0, 1, 2, 3),
+                       (0, 2, 4, 6))
+    assert not pa.hostable(g) >> 12 & 1
+    stage, layout = _close_alone(g, pa, mask_of(range(8, 16)), 1)
+    first, ok = calls[0]
+    assert 12 in first and len(first) == 4 and not ok
+    assert calls[-1][1] and all(not ok for _, ok in calls[:-1])
+    assert 12 in layout.inners[0] and len(layout.inners[0]) == 5
+    assert is_valid_kpath(g, layout.absorbed)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from([40, 60]), st.integers(1, 3), st.integers(0, 2 ** 32))
+def test_every_closed_layout_carries_a_valid_absorbed_head(n, k, seed):
+    # every layout the pipeline gets back holds a head into which exactly
+    # the pool vertices its joints did not route were absorbed
+    layouts = []
+
+    def spy(g, k, head, pa, cover, reservoir, *rest):
+        stage, layout = close(g, k, head, pa, cover, reservoir, *rest)
+        layouts.append((pa, reservoir | mask_of(cover.leftover), layout))
+        return stage, layout
+    close = hamiltonian._close_cycle
+    g = gnp(n, Fraction(3, 4), seed % 1000)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hamiltonian, "_close_cycle", spy)
+        res = find_hamiltonian_power(g, PipelineConfig(k=k, seed=seed))
+    assert res.report.failed_stage != "absorb"
+    assert res.ok == any(lay is not None for _, _, lay in layouts)
+    for pa, pool, layout in layouts:
+        if layout is None:
+            continue
+        assert is_valid_kpath(g, layout.absorbed)
+        routed = mask_of(v for inner in layout.inners for v in inner)
+        assert (mask_of(layout.absorbed.vertices)
+                == pa.path.mask | pool & ~routed)
+
+
+def test_closure_work_over_retry_shaped_finds(monkeypatch):
+    # the closing joint no longer threads the whole pool: over 20
+    # gnp(60, 3/4) finds at k=3 no connect search runs out of budget and
+    # all of them spend 9,119 DFS nodes (326,501 and one exhausted search
+    # when the closing ladder started at the full pool)
+    spent, exhausted = [], []
+    search = connector._search
+
+    def spy(g, req, m, budget, *rest):
+        before = budget.left
+        got = search(g, req, m, budget, *rest)
+        spent.append(before - budget.left)
+        exhausted.append(got is None and budget.left <= 0)
+        return got
+    monkeypatch.setattr(connector, "_search", spy)
+    for s in range(20):
+        res = find_hamiltonian_power(gnp(60, Fraction(3, 4), s),
+                                     PipelineConfig(k=3, seed=s))
+        assert res.ok
+    assert not any(exhausted)
+    assert sum(spent) <= 50_000
 
 
 def test_report_json_shape():
@@ -536,6 +650,26 @@ def test_hitting_sets_on_random_graph():
     assert res.ok
     assert all(t >= 1 for t in res.tallies)
     assert oracle_power_ham_cycle(g, res.certificate.ordering, 2)
+
+
+def test_hitting_stitch_joins_on_a_word_drawn_after_the_shuffles(
+        monkeypatch):
+    # the join's key table must not restart the stream the picks consumed
+    seeds = []
+
+    def spy(g, k, verts, pieces, seed, *rest):
+        seeds.append(seed)
+        return join_chain(g, k, verts, pieces, seed, *rest)
+    join_chain = hamiltonian.join_chain
+    monkeypatch.setattr(hamiltonian, "join_chain", spy)
+    g = Graph.complete(20)
+    hitting = [[(4, 5), (6, 7), (8, 9)], [(10, 11), (12, 13)]]
+    hamiltonian._stitch_hitting_cliques(g, 2, KPath(2, (0, 1, 2, 3)),
+                                        hitting, 99, 6)
+    rng = SplitMix64(99)
+    for cands in hitting:
+        rng.shuffle(list(cands))
+    assert seeds == [rng.next_u64()] and seeds[0] != 99
 
 
 def test_hitting_set_without_usable_clique_is_infeasible():
