@@ -24,7 +24,7 @@ from math import ceil
 from typing import Iterable
 
 from .connector import ConnectRequest, connect
-from .errors import AssemblyError, CapacityError, InputError
+from .errors import AssemblyError, CapacityError, InputError, PowerhamError
 from .graph import (_DIGITS, Graph, common_neighborhood_mask, mask_of,
                     nth_bit, verts_of)
 # unused here, but perfbench/spans.py traces clique listing at this binding
@@ -220,7 +220,8 @@ class AbsorbingPath:
     """A k-path threading every family member as one contiguous segment.
 
     ``starts[i]`` is the position of ``member_ids[i]``'s segment inside
-    ``path``.  :func:`absorb` may use every segment and returns a new path;
+    ``path``; the path may go on past the last segment (stitched hitting
+    cliques).  :func:`absorb` may use every segment and returns a new path;
     positions refer to the path as built, so absorb once and rebuild rather
     than absorbing into an already grown path.
     """
@@ -295,7 +296,8 @@ def build_absorbing_path(g: Graph, k: int, zeta: Fraction,
     Members are visited ascending by the vertex they were sampled for and
     chained by :func:`join_chain`, each join running from the y-half of the
     previous segment to the x-half of the next, at most ``MAX_INNER``
-    inner vertices long.
+    inner vertices long.  A failed join raises AssemblyError; a result that
+    is not a k-path raises PowerhamError (an internal fault).
     """
     if not family:
         raise InputError("cannot assemble an empty family")
@@ -308,7 +310,8 @@ def build_absorbing_path(g: Graph, k: int, zeta: Fraction,
                                MAX_INNER, node_budget)
     path = KPath(k, tuple(verts))
     if not is_valid_kpath(g, path):
-        raise AssemblyError("assembled segments do not form a valid k-path")
+        # valid by construction: a miss is a bug, not a reason to retry
+        raise PowerhamError("internal: the assembled path is not a k-path")
     return AbsorbingPath(path, tuple(order), (0, *starts))
 
 
@@ -358,7 +361,8 @@ def absorb(g: Graph, pa: AbsorbingPath, x_set: Iterable[int]) -> KPath:
     halves come from one clique, so it can host any clique of up to k
     vertices each adjacent to that whole clique (every pair inside a
     crossing window is then an edge).  Raises CapacityError for the first
-    vertex (ascending) that fits nowhere.
+    vertex (ascending) that fits nowhere, PowerhamError if the result is
+    not a k-path (an internal fault).
     """
     xs = sorted(set(x_set))
     if not xs:
@@ -394,5 +398,6 @@ def absorb(g: Graph, pa: AbsorbingPath, x_set: Iterable[int]) -> KPath:
         verts[pa.starts[i] + k:pa.starts[i] + k] = sorted(grp)
     out = KPath(pa.path.k, tuple(verts))
     if not is_valid_kpath(g, out):
-        raise CapacityError("absorption produced an invalid path")
+        # valid by construction: a miss is a bug, not a capacity shortfall
+        raise PowerhamError("internal: absorption produced an invalid path")
     return out

@@ -275,33 +275,28 @@ def _practical_max_inner(mu: Fraction, k: int) -> int:
     return max(k + 2, min(level, MAX_INNER_CAP))
 
 
-@dataclass
-class _CycleLayout:
-    """A successful cyclic hookup of the head and the cover paths."""
-    sequence: list
-    inners: list
-    absorbed: KPath     # the absorbing path, each pool vertex left absorbed
-
-
-def _close_cycle(g: Graph, k: int, head: KPath, pa, cover, reservoir: int,
+def _close_cycle(g: Graph, k: int, pa, reverse: bool, cover, reservoir: int,
                  max_inner: int, seed: int, prefer: int = 0):
-    """Join head and cover paths into one cycle, routing through the pool.
+    """Join the absorbing path and the cover paths into one cycle, routing
+    through the pool.
 
-    Piece order and direction are free choices made greedily per joint;
-    inner lengths aim at an even split of the pool over the joints that
-    remain.  At the closing joint the absorbing path ``pa`` is the only
-    other taker, so its ladder starts at half the pool, and a closure
-    counts only if ``absorb`` takes every pool vertex it leaves.  Every
-    request breaks ties by one key table drawn from seed.  Returns the
-    stage record and the layout, or None for it when a joint failed.
+    The head is ``pa.path``, back to front when ``reverse`` is set.  Piece
+    order and direction are free choices made greedily per joint; inner
+    lengths aim at an even split of the pool over the joints that remain.
+    At the closing joint ``absorb`` is the only other taker, so its ladder
+    starts at half the pool, and a closure counts only if ``absorb`` takes
+    every pool vertex it leaves.  Every request breaks ties by one key
+    table drawn from seed.  Returns the stage record and the cycle's
+    vertex order, the absorbed path first (reversed with the head), or
+    None for the order when a joint failed.
     """
+    head = KPath(k, pa.path.vertices[::-1]) if reverse else pa.path
     route = reservoir
     widen = mask_of(cover.leftover)
     keys = SplitMix64(seed).words(g.n)
     joints = len(cover.paths) + 1
-    sequence: list[KPath] = [head]
     available: list[KPath] = list(cover.paths)
-    inners: list[tuple[int, ...]] = []
+    tail: list[int] = []
     reservoir_used = 0
     leftover_routed = 0
     cur = head
@@ -351,31 +346,36 @@ def _close_cycle(g: Graph, k: int, head: KPath, pa, cover, reservoir: int,
         leftover_routed += (im & widen).bit_count()
         route &= ~im
         widen &= ~im
-        inners.append(inner)
+        tail += inner
         if i >= 0:
             available.pop(i)
-            sequence.append(cand)
+            tail += cand.vertices
             cur = cand
-    stage = {"joints": joints, "inner_total": sum(len(x) for x in inners),
+    # insertions into the segment midpoints stay valid under reversal
+    order = absorbed.vertices[::-1] if reverse else absorbed.vertices
+    stage = {"joints": joints,
+             "inner_total": reservoir_used + leftover_routed,
              "reservoir_used": reservoir_used,
              "leftover_routed": leftover_routed,
              "seed": seed}
-    return stage, _CycleLayout(sequence, inners, absorbed)
+    return stage, order + tuple(tail)
 
 
-def _stitch_hitting_cliques(g: Graph, k: int, head: KPath,
+def _stitch_hitting_cliques(g: Graph, k: int, pa,
                             hitting: list[list[tuple[int, ...]]], seed: int,
-                            max_inner: int) -> KPath:
-    """Pick one clique per hitting set off the head; chain them onto its y end.
+                            max_inner: int):
+    """Pick one clique per hitting set off the absorbing path and chain them
+    onto its y end; returns ``pa`` with the longer path.
 
-    The picks shuffle from ``SplitMix64(seed)``; the join's key table is
-    seeded by the next word.  Raises AssemblyError when every candidate of
-    a set meets the path or an earlier pick, or when ``join_chain`` cannot
-    join a clique on.
+    The cliques follow every segment, so ``starts`` and ``member_ids`` hold
+    as they are.  The picks shuffle from ``SplitMix64(seed)``; the join's
+    key table is seeded by the next word.  Raises AssemblyError when every
+    candidate of a set meets the path or an earlier pick, or when
+    ``join_chain`` cannot join a clique on.
     """
     hrng = SplitMix64(seed)
     chosen: list[tuple[int, ...]] = []
-    taken = head.mask
+    taken = pa.path.mask
     for i, cands in enumerate(hitting):
         pool = list(cands)
         hrng.shuffle(pool)
@@ -384,28 +384,14 @@ def _stitch_hitting_cliques(g: Graph, k: int, head: KPath,
             raise AssemblyError(f"every clique of hitting set {i} is taken")
         chosen.append(pick)
         taken |= mask_of(pick)
-    verts, _ = join_chain(g, k, head.vertices, chosen, hrng.next_u64(),
+    verts, _ = join_chain(g, k, pa.path.vertices, chosen, hrng.next_u64(),
                           max_inner, ASSEMBLY_NODE_BUDGET)
-    return KPath(k, tuple(verts))
+    return replace(pa, path=KPath(k, tuple(verts)))
 
 
-def _certify(g: Graph, k: int, head: KPath, pa, layout: _CycleLayout
-             ) -> Certificate:
-    """Read the cycle off the layout, with the absorbed head in its place."""
-    head_suffix = head.vertices[len(pa.path.vertices):]
-    if layout.sequence[0] is head:
-        ordering = list(layout.absorbed.vertices) + list(head_suffix)
-    else:
-        # the chain docked the head back to front; insertions into the
-        # segment midpoints stay valid under reversal
-        ordering = list(reversed(head_suffix))
-        ordering += list(reversed(layout.absorbed.vertices))
-    for piece, inner in zip(layout.sequence[1:], layout.inners):
-        ordering.extend(inner)
-        ordering.extend(piece.vertices)
-    ordering.extend(layout.inners[-1])
-
-    cert = canonicalize(Certificate(k, tuple(ordering)))
+def _certify(g: Graph, k: int, order: tuple[int, ...]) -> Certificate:
+    """Canonicalize the cycle's vertex order and check it in full."""
+    cert = canonicalize(Certificate(k, order))
     ok, viol = verify(g, cert)
     if not ok:
         raise PowerhamError(f"internal: invalid certificate, pair {viol}")
@@ -440,19 +426,18 @@ def _attempt(g: Graph, cfg: PipelineConfig, seed: int, max_inner: int,
         try:
             pa = build_absorbing_path(g, k, ZETA, family, seed=s_build,
                                       node_budget=ASSEMBLY_NODE_BUDGET)
-            head = pa.path
             if hitting is not None:
-                head = _stitch_hitting_cliques(g, k, head, hitting, s_stitch,
-                                               max_inner)
+                pa = _stitch_hitting_cliques(g, k, pa, hitting, s_stitch,
+                                             max_inner)
                 stages["absorbing_path"]["stitched"] = len(hitting)
         except AssemblyError:
             raise _StageFailure("absorbing_path", stages)
         capacity = k * len(family)   # each segment hosts up to a k-clique
-        stages["absorbing_path"].update(path_length=len(head),
+        stages["absorbing_path"].update(path_length=len(pa.path),
                                         capacity=capacity)
         # vertices no segment can host must leave the pool by routing,
         # so the connection search is told to spend them first
-        incompat = g.full_mask() & ~head.mask & ~pa.hostable(g)
+        incompat = g.full_mask() & ~pa.path.mask & ~pa.hostable(g)
 
     # -- stages 2-5, with one reservoir resample allowed: when the cycle
     # cannot be closed by a closure whose rest absorbs, a fresh reservoir
@@ -461,11 +446,10 @@ def _attempt(g: Graph, cfg: PipelineConfig, seed: int, max_inner: int,
     rseed = SplitMix64(s_reservoir)
     cseed = SplitMix64(s_cover)
     xseed = SplitMix64(s_connect)
-    head_rev = KPath(k, tuple(reversed(head.vertices)))
     for rnd in range(2):
         with _timed(timings, "reservoir"):
             round_seed = rseed.next_u64()
-            reservoir = _reservoir(g.full_mask() & ~head.mask, round_seed)
+            reservoir = _reservoir(g.full_mask() & ~pa.path.mask, round_seed)
             stages["reservoir"] = {"size": reservoir.bit_count(),
                                    "rounds": rnd + 1, "seed": round_seed}
 
@@ -475,7 +459,7 @@ def _attempt(g: Graph, cfg: PipelineConfig, seed: int, max_inner: int,
             # starved pools, so in that regime the cover stands down; on the
             # second round it runs anyway if unhostable vertices are
             # present, since a path can carry them where a route could not
-            live = g.full_mask() & ~(head.mask | reservoir)
+            live = g.full_mask() & ~(pa.path.mask | reservoir)
             round_stop = max(1, capacity // 2)
             if live.bit_count() <= min(max_inner, capacity):
                 if rnd == 0 or not live & incompat:
@@ -483,7 +467,7 @@ def _attempt(g: Graph, cfg: PipelineConfig, seed: int, max_inner: int,
             # the cover harvests even isolated cliques; the cycle closure
             # copes with weak path ends by picking order and direction
             cover_seed = cseed.next_u64()
-            cover = cover_with_paths(g, k, excluded=head.mask | reservoir,
+            cover = cover_with_paths(g, k, excluded=pa.path.mask | reservoir,
                                      stop_size=round_stop, seed=cover_seed)
             stages["cover"] = {"paths": [len(p) for p in cover.paths],
                                "leftover": len(cover.leftover),
@@ -492,24 +476,26 @@ def _attempt(g: Graph, cfg: PipelineConfig, seed: int, max_inner: int,
                 raise _StageFailure("cover", stages)
 
         with _timed(timings, "connect"):
-            for head_path in (head, head_rev):
-                stages["connect"], layout = _close_cycle(
-                    g, k, head_path, pa, cover, reservoir, max_inner,
+            for reverse in (False, True):
+                stage, order = _close_cycle(
+                    g, k, pa, reverse, cover, reservoir, max_inner,
                     xseed.next_u64(), incompat)
-                if layout is not None:
+                if order is not None:
                     break
-            if layout is None:
+            stages["connect"] = stage
+            if order is None:
                 continue
-            if (stages["connect"]["reservoir_used"]
-                    > len(layout.inners) * max_inner):
+            if stage["reservoir_used"] > stage["joints"] * max_inner:
                 raise PowerhamError(
                     "internal: reservoir accounting bound violated")
 
         # -- stage 5: the closure absorbed the rest; certify the cycle
         with _timed(timings, "absorb"):
-            stages["absorb"] = {"absorbed": len(layout.absorbed)
-                                - len(pa.path), "capacity": capacity}
-            return _certify(g, k, head, pa, layout), stages
+            # every pool vertex the joints did not route was absorbed
+            stages["absorb"] = {"absorbed": reservoir.bit_count()
+                                + len(cover.leftover) - stage["inner_total"],
+                                "capacity": capacity}
+            return _certify(g, k, order), stages
     raise _StageFailure("connect", stages)
 
 
@@ -571,13 +557,13 @@ def _run_pipeline(g: Graph, cfg: PipelineConfig,
                         f"set {i} contains no connectable {k}-clique")
                 hitting.append(cands)
 
+    # each attempt draws its seed as it starts: retries allocate nothing
     arng = SplitMix64(cfg.seed)
-    attempt_seeds = [arng.next_u64() for _ in range(cfg.retries + 1)]
     cert = None
-    for attempt, aseed in enumerate(attempt_seeds, start=1):
+    for attempt in range(1, cfg.retries + 2):
         try:
-            cert, stages = _attempt(g, cfg, aseed, max_inner, timings,
-                                    hitting)
+            cert, stages = _attempt(g, cfg, arng.next_u64(), max_inner,
+                                    timings, hitting)
             failed = None
             break
         except _StageFailure as f:

@@ -24,8 +24,6 @@ from powerham.graph import (Graph, common_neighborhood_mask, list_cliques,
                             mask_of, verts_of)
 from powerham.rng import SplitMix64
 
-RESTARTS = 8
-
 
 @dataclass(frozen=True)
 class KPath:
@@ -271,13 +269,12 @@ def cover_with_paths(g: Graph, k: int, excluded, stop_size: int,
                      seed: int) -> PathCover:
     """Disjoint tight paths over everything outside `excluded`.
 
-    Loops on the still-uncovered vertices: grow greedy paths capped at the
-    length that would land the leftover on stop_size, keeping the longest
-    of up to RESTARTS and stopping early once one reaches the cap (callers
-    that route spare vertices through connections rely on the leftover not
-    undershooting stop_size).  Stops at stop_size uncovered or when the
-    uncovered set holds no (k+1)-clique; the shortfall is visible in the
-    returned leftover, never raised.
+    Each round grows one greedy path through the still-uncovered vertices,
+    capped at the length that would land the leftover on stop_size
+    (callers that route spare vertices through connections rely on the
+    leftover not undershooting stop_size).  Stops at stop_size uncovered
+    or when the uncovered set holds no (k+1)-clique; the shortfall is
+    visible in the returned leftover, never raised.
     """
     if stop_size < 0:
         raise InputError("stop_size must be >= 0")
@@ -287,16 +284,10 @@ def cover_with_paths(g: Graph, k: int, excluded, stop_size: int,
     while live.bit_count() > stop_size:
         h = build_clique_hypergraph(g, k, within=live)
         keep = max(k + 1, live.bit_count() - stop_size)
-        best = None
         try:
-            for _ in range(RESTARTS):
-                p = greedy_tight_path(h, rng.next_u64(), limit=keep)
-                if best is None or len(p) > len(best):
-                    best = p
-                if len(best) == keep:
-                    break
+            path = greedy_tight_path(h, rng.next_u64(), limit=keep)
         except NoCliquesError:
             break
-        paths.append(best)
-        live &= ~best.mask
+        paths.append(path)
+        live &= ~path.mask
     return PathCover(tuple(paths), verts_of(live), stop_size)

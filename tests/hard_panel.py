@@ -7,13 +7,17 @@ Each input runs once at seed 0 with the default retries:
 ``gnp(200, 1/2)`` at k=3, ``two_overlapping_cliques(200, 1/10)`` at k=3
 and ``two_overlapping_cliques(200, 1/4)`` at k=2.  One line per input
 gives whether a certificate was found, the attempts, the failed stage,
-the wall seconds of the find and ``report.timings["connect"]``.  The last
+the wall seconds of the find, ``report.timings["connect"]`` and the
+SHA-256 of the certificate's JSON (``null`` when none was found), so two
+trees can be compared byte for byte as well as by outcome.  The last
 input dominates: it takes over a minute on a 2-CPU machine.  The file
 name keeps pytest from collecting it; it is not a benchmark workload.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import sys
 import time
 from fractions import Fraction
@@ -43,9 +47,14 @@ def main(argv: list[str]) -> int:
         res = find_hamiltonian_power(g, PipelineConfig(k=k, seed=0))
         wall = time.perf_counter() - t0
         rep = res.report
+        cert = (None if res.certificate is None
+                else res.certificate.to_json_dict())
+        digest = hashlib.sha256(json.dumps(
+            cert, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
         print(f"{label} k={k}: found {res.ok} attempts {rep.attempts} "
               f"failed_stage {rep.failed_stage} wall_s {wall:.2f} "
-              f"connect_s {rep.timings.get('connect', 0.0):.2f}", flush=True)
+              f"connect_s {rep.timings.get('connect', 0.0):.2f} "
+              f"sha256 {digest}", flush=True)
     return 0
 
 

@@ -22,7 +22,9 @@ from powerham.absorber import (
     join_chain,
     sample_family,
 )
-from powerham.errors import AssemblyError, CapacityError, InputError
+from powerham import absorber
+from powerham.errors import (AssemblyError, CapacityError, InputError,
+                             PowerhamError)
 from powerham.generators import gnp
 from powerham.graph import Graph, list_cliques, mask_of
 from powerham.hamiltonian import _family_target
@@ -378,6 +380,20 @@ def test_absorb_capacity_error_names_the_vertex():
     with pytest.raises(CapacityError) as err:
         absorb(g, pa, {0, 5, 6})
     assert "6" in str(err.value)
+
+
+def test_final_path_checks_fail_as_internal_errors(monkeypatch):
+    # both checks hold by construction, so a miss is neither a failed join
+    # nor a capacity shortfall that a caller may retry past
+    g = Graph.complete(9)
+    fam = (VAbsorber(0, (1, 2, 3, 4)),)
+    pa = build_absorbing_path(g, 2, Fraction(0), fam, seed=1)
+    monkeypatch.setattr(absorber, "is_valid_kpath", lambda g, kp: False)
+    for call in (lambda: build_absorbing_path(g, 2, Fraction(0), fam, seed=1),
+                 lambda: absorb(g, pa, {0})):
+        with pytest.raises(PowerhamError, match="internal") as err:
+            call()
+        assert not isinstance(err.value, (AssemblyError, CapacityError))
 
 
 def test_absorb_rejects_vertices_already_on_the_path():

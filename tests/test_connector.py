@@ -249,9 +249,9 @@ def test_each_stage_draws_one_key_table(monkeypatch):
     tables.clear()
     cover = SimpleNamespace(paths=[KPath(2, c) for c in pieces], leftover=())
     reservoir = g.full_mask() & ~taken
-    stage, layout = hamiltonian._close_cycle(g, 2, pa.path, pa, cover,
-                                             reservoir, 8, 7)
-    assert layout is not None and stage["joints"] == 4
+    stage, order = hamiltonian._close_cycle(g, 2, pa, False, cover,
+                                            reservoir, 8, 7)
+    assert order is not None and stage["joints"] == 4
     assert draws == [g.n] and len(tables) >= 4
     assert all(t is tables[0] for t in tables)
 

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, count
 from types import SimpleNamespace
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powerham import connector
-from powerham.absorber import AbsorbingPath
+from powerham import absorber, connector
+from powerham.absorber import AbsorbingPath, absorb
 from powerham.errors import (CapacityError, InfeasibleSetError, InputError,
                              PowerhamError, SizeError)
 from powerham.generators import (clique_complement, complete_multipartite,
@@ -491,8 +492,14 @@ def _spy_absorb(monkeypatch):
 def _close_alone(g, pa, pool, seed):
     """Close ``pa.path`` on itself through ``pool``: one closing joint."""
     cover = SimpleNamespace(paths=[], leftover=())
-    return hamiltonian._close_cycle(g, pa.path.k, pa.path, pa, cover, pool,
+    return hamiltonian._close_cycle(g, pa.path.k, pa, False, cover, pool,
                                     12, seed)
+
+
+def _split_closure(stage, order, k):
+    """The absorbed head and the closing inner of a one-joint order."""
+    cut = len(order) - stage["inner_total"]
+    return KPath(k, order[:cut]), order[cut:]
 
 
 def test_closing_joint_moves_past_a_rest_over_capacity(monkeypatch):
@@ -501,15 +508,16 @@ def test_closing_joint_moves_past_a_rest_over_capacity(monkeypatch):
     calls = _spy_absorb(monkeypatch)
     g = Graph.complete(14)
     pa = AbsorbingPath(KPath(1, (0, 1, 2, 3)), (0, 1), (0, 2))
-    stage, layout = _close_alone(g, pa, mask_of(range(4, 14)), 0)
+    stage, order = _close_alone(g, pa, mask_of(range(4, 14)), 0)
+    absorbed, inner = _split_closure(stage, order, 1)
     assert [(len(xs), ok) for xs, ok in calls] == [
         (5, False), (6, False), (7, False), (8, False), (9, False),
         (10, False), (4, False), (3, False), (2, True)]
-    assert stage["inner_total"] == 8 and len(layout.inners[0]) == 8
-    assert layout.absorbed.vertices[:1] == (0,)
-    assert sorted(layout.absorbed.vertices) == sorted(
+    assert stage["inner_total"] == 8 and len(inner) == 8
+    assert absorbed.vertices[:1] == (0,)
+    assert sorted(absorbed.vertices) == sorted(
         (0, 1, 2, 3, *calls[-1][0]))
-    assert is_valid_kpath(g, layout.absorbed)
+    assert is_valid_kpath(g, absorbed)
 
 
 def test_closing_joint_moves_past_a_closure_that_strands_a_vertex(
@@ -524,38 +532,45 @@ def test_closing_joint_moves_past_a_closure_that_strands_a_vertex(
     pa = AbsorbingPath(KPath(1, tuple(range(8))), (0, 1, 2, 3),
                        (0, 2, 4, 6))
     assert not pa.hostable(g) >> 12 & 1
-    stage, layout = _close_alone(g, pa, mask_of(range(8, 16)), 1)
+    stage, order = _close_alone(g, pa, mask_of(range(8, 16)), 1)
+    absorbed, inner = _split_closure(stage, order, 1)
     first, ok = calls[0]
     assert 12 in first and len(first) == 4 and not ok
     assert calls[-1][1] and all(not ok for _, ok in calls[:-1])
-    assert 12 in layout.inners[0] and len(layout.inners[0]) == 5
-    assert is_valid_kpath(g, layout.absorbed)
+    assert 12 in inner and len(inner) == 5
+    assert is_valid_kpath(g, absorbed)
 
 
 @settings(max_examples=12, deadline=None)
 @given(st.sampled_from([40, 60]), st.integers(1, 3), st.integers(0, 2 ** 32))
 def test_every_closed_layout_carries_a_valid_absorbed_head(n, k, seed):
-    # every layout the pipeline gets back holds a head into which exactly
-    # the pool vertices its joints did not route were absorbed
+    # every cycle order the pipeline gets back starts with a head into which
+    # exactly the pool vertices its joints did not route were absorbed
     layouts = []
 
-    def spy(g, k, head, pa, cover, reservoir, *rest):
-        stage, layout = close(g, k, head, pa, cover, reservoir, *rest)
-        layouts.append((pa, reservoir | mask_of(cover.leftover), layout))
-        return stage, layout
+    def spy(g, k, pa, reverse, cover, reservoir, *rest):
+        stage, order = close(g, k, pa, reverse, cover, reservoir, *rest)
+        # the order ends in the joints' inners and the cover paths
+        tail = (None if order is None else
+                stage["inner_total"] + sum(map(len, cover.paths)))
+        layouts.append((pa, reservoir | mask_of(cover.leftover),
+                        mask_of(v for p in cover.paths for v in p.vertices),
+                        order, tail))
+        return stage, order
     close = hamiltonian._close_cycle
     g = gnp(n, Fraction(3, 4), seed % 1000)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hamiltonian, "_close_cycle", spy)
         res = find_hamiltonian_power(g, PipelineConfig(k=k, seed=seed))
     assert res.report.failed_stage != "absorb"
-    assert res.ok == any(lay is not None for _, _, lay in layouts)
-    for pa, pool, layout in layouts:
-        if layout is None:
+    assert res.ok == any(order is not None for *_, order, _ in layouts)
+    for pa, pool, covered, order, tail in layouts:
+        if order is None:
             continue
-        assert is_valid_kpath(g, layout.absorbed)
-        routed = mask_of(v for inner in layout.inners for v in inner)
-        assert (mask_of(layout.absorbed.vertices)
+        absorbed = KPath(k, order[:len(order) - tail])
+        assert is_valid_kpath(g, absorbed)
+        routed = mask_of(order[len(order) - tail:]) & ~covered
+        assert (mask_of(absorbed.vertices)
                 == pa.path.mask | pool & ~routed)
 
 
@@ -624,6 +639,28 @@ def test_config_validation():
         PipelineConfig(k=2, retries=-1)
 
 
+def test_retries_allocate_nothing_before_the_attempts():
+    # found on attempt 1: a million retries must cost nothing up front
+    g = gnp(60, Fraction(3, 4), 0)
+    tracemalloc.start()
+    try:
+        res = find_hamiltonian_power(
+            g, PipelineConfig(k=1, seed=0, retries=10 ** 6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.ok and res.report.attempts == 1
+    assert peak < 1 << 20
+
+
+def test_an_internal_fault_raises_instead_of_retrying(monkeypatch):
+    # the final k-path checks hold by construction; a miss is a bug
+    monkeypatch.setattr(absorber, "is_valid_kpath", lambda g, kp: False)
+    with pytest.raises(PowerhamError, match="internal"):
+        find_hamiltonian_power(gnp(60, Fraction(3, 4), 0),
+                               PipelineConfig(k=1, seed=0))
+
+
 # ------------------------------------------------------------ hitting sets
 
 def test_window_tallies_counts_cyclic_windows():
@@ -664,12 +701,29 @@ def test_hitting_stitch_joins_on_a_word_drawn_after_the_shuffles(
     monkeypatch.setattr(hamiltonian, "join_chain", spy)
     g = Graph.complete(20)
     hitting = [[(4, 5), (6, 7), (8, 9)], [(10, 11), (12, 13)]]
-    hamiltonian._stitch_hitting_cliques(g, 2, KPath(2, (0, 1, 2, 3)),
-                                        hitting, 99, 6)
+    pa = AbsorbingPath(KPath(2, (0, 1, 2, 3)), (0,), (0,))
+    hamiltonian._stitch_hitting_cliques(g, 2, pa, hitting, 99, 6)
     rng = SplitMix64(99)
     for cands in hitting:
         rng.shuffle(list(cands))
     assert seeds == [rng.next_u64()] and seeds[0] != 99
+
+
+def test_hitting_stitch_extends_the_absorbing_path():
+    # the cliques follow every segment, so segments keep their positions
+    # and absorb still inserts into them
+    g = Graph.complete(20)
+    pa = AbsorbingPath(KPath(2, tuple(range(8))), (1, 0), (0, 4))
+    out = hamiltonian._stitch_hitting_cliques(
+        g, 2, pa, [[(10, 11)], [(14, 15)]], 5, 6)
+    assert isinstance(out, AbsorbingPath)
+    assert (out.member_ids, out.starts) == (pa.member_ids, pa.starts)
+    assert out.path.vertices[:8] == pa.path.vertices
+    assert {10, 11, 14, 15} <= set(out.path.vertices[8:])
+    assert is_valid_kpath(g, out.path)
+    grown = absorb(g, out, [18, 19])
+    assert grown.vertices[-len(out.path) + 8:] == out.path.vertices[8:]
+    assert is_valid_kpath(g, grown)
 
 
 def test_hitting_set_without_usable_clique_is_infeasible():
