@@ -25,8 +25,8 @@ from typing import Iterable
 
 from .connector import ConnectRequest, connect
 from .errors import AssemblyError, CapacityError, InputError, PowerhamError
-from .graph import (_DIGITS, Graph, common_neighborhood_mask, mask_of,
-                    nth_bit, verts_of)
+from .graph import (_DIGITS, Graph, common_neighborhood_mask, is_clique,
+                    mask_of, nth_bit, verts_of)
 # unused here, but perfbench/spans.py traces clique listing at this binding
 from .graph import list_cliques  # noqa: F401
 from .pathcover import KPath, is_valid_kpath
@@ -72,13 +72,8 @@ class VAbsorber:
 
 def is_valid_absorber(g: Graph, ab: VAbsorber, zeta: Fraction) -> bool:
     """Recheck every defining property of a v-absorber from scratch."""
-    k = ab.k
-    nb = g.adj[ab.v]
-    if any(not (nb >> u) & 1 for u in ab.clique):
+    if g.adj[ab.v] & ab.mask != ab.mask or not is_clique(g, ab.clique):
         return False
-    for a, b in combinations(ab.clique, 2):
-        if not g.has_edge(a, b):
-            return False
     threshold = ceil(Fraction(zeta) * g.n)
     return (is_connectable(g, ab.x_half, threshold)
             and is_connectable(g, ab.y_half, threshold))
@@ -220,42 +215,37 @@ class AbsorbingPath:
     """A k-path threading every family member as one contiguous segment.
 
     ``starts[i]`` is the position of ``member_ids[i]``'s segment inside
-    ``path``; the path may go on past the last segment (stitched hitting
-    cliques).  :func:`absorb` may use every segment and returns a new path;
-    positions refer to the path as built, so absorb once and rebuild rather
-    than absorbing into an already grown path.
+    ``path`` and ``hosts[i]`` the vertices it can host: those adjacent to
+    all 2k of its vertices (its common neighbourhood).  The path may go on
+    past the last segment (stitched hitting cliques).  :func:`absorb` may
+    use every segment and returns a new path; positions refer to the path
+    as built, so absorb once and rebuild rather than absorbing into an
+    already grown path.
     """
 
     path: KPath
     member_ids: tuple[int, ...]
     starts: tuple[int, ...]
+    hosts: tuple[int, ...]
 
-    def segment(self, i: int) -> tuple[int, ...]:
-        s = self.starts[i]
-        return self.path.vertices[s : s + 2 * self.path.k]
-
-    def host_masks(self, g: Graph) -> tuple[int, ...]:
-        """Per segment, the vertices it can host: those adjacent to all 2k
-        of its vertices (its common neighbourhood)."""
-        return tuple(common_neighborhood_mask(g, self.segment(i))
-                     for i in range(len(self.starts)))
-
-    def hostable(self, g: Graph) -> int:
+    @property
+    def hostable(self) -> int:
         """Mask of the vertices some segment can host."""
-        return reduce(int.__or__, self.host_masks(g), 0)
+        return reduce(int.__or__, self.hosts, 0)
 
 
-def _validate(g: Graph, k: int, family: tuple[VAbsorber, ...],
-              zeta: Fraction) -> None:
+def _validate(g: Graph, k: int, family: tuple[VAbsorber, ...]) -> None:
+    if not family:
+        raise InputError("cannot assemble an empty family")
     seen = 0
     for ab in family:
         if ab.k != k:
             raise InputError("family was sampled for a different k")
+        if not is_clique(g, ab.clique):
+            raise InputError(f"member for vertex {ab.v} is not a clique")
         if seen & ab.mask:
             raise InputError("family members overlap")
         seen |= ab.mask
-        if not is_valid_absorber(g, ab, zeta):
-            raise InputError(f"member for vertex {ab.v} is not an absorber")
 
 
 def join_chain(g: Graph, k: int, verts: Iterable[int],
@@ -287,21 +277,23 @@ def join_chain(g: Graph, k: int, verts: Iterable[int],
     return verts, starts
 
 
-def build_absorbing_path(g: Graph, k: int, zeta: Fraction,
-                         family: tuple[VAbsorber, ...],
+def build_absorbing_path(g: Graph, k: int, family: tuple[VAbsorber, ...],
                          seed: int = DEFAULT_SEED,
                          node_budget: int | None = None) -> AbsorbingPath:
     """Join all family members into a single k-path, in owner order.
 
+    The family must be non-empty, sampled for this k, and made of pairwise
+    disjoint 2k-cliques, else InputError.  Owner adjacency and connectable
+    halves are :func:`sample_family`'s guarantees and are not rechecked:
+    nothing here depends on them, and a weak half only fails a join.
     Members are visited ascending by the vertex they were sampled for and
     chained by :func:`join_chain`, each join running from the y-half of the
     previous segment to the x-half of the next, at most ``MAX_INNER``
     inner vertices long.  A failed join raises AssemblyError; a result that
-    is not a k-path raises PowerhamError (an internal fault).
+    is not a k-path raises PowerhamError (an internal fault).  Each
+    segment's host mask is computed here, once.
     """
-    if not family:
-        raise InputError("cannot assemble an empty family")
-    _validate(g, k, family, zeta)
+    _validate(g, k, family)
     order = sorted(range(len(family)),
                    key=lambda i: (family[i].v, family[i].clique))
     members = [family[i] for i in order]
@@ -312,7 +304,8 @@ def build_absorbing_path(g: Graph, k: int, zeta: Fraction,
     if not is_valid_kpath(g, path):
         # valid by construction: a miss is a bug, not a reason to retry
         raise PowerhamError("internal: the assembled path is not a k-path")
-    return AbsorbingPath(path, tuple(order), (0, *starts))
+    return AbsorbingPath(path, tuple(order), (0, *starts), tuple(
+        common_neighborhood_mask(g, ab.clique) for ab in members))
 
 
 def _match(xs: list[int], usable: dict[int, int]
@@ -377,7 +370,7 @@ def absorb(g: Graph, pa: AbsorbingPath, x_set: Iterable[int]) -> KPath:
     k = pa.path.k
     # vertex -> its hosts' mask: the host masks' digit columns, zipped
     usable, fmt = dict.fromkeys(xs, 0), f"0{g.n}b"
-    rows = [format(h, fmt) for h in reversed(pa.host_masks(g))]
+    rows = [format(h, fmt) for h in reversed(pa.hosts)]
     usable.update(zip(reversed(xs), (int("".join(col), 2) for col in compress(
         zip(*rows), format(mask_of(xs), fmt).encode().translate(_DIGITS)))))
 

@@ -47,7 +47,10 @@ class PipelineConfig:
     """Power k, retry count and seed of one run; frozen for its report.
 
     The rest is fixed: ZETA, RESERVOIR_FRACTION, and a cover that stops
-    at half the absorbing capacity (at least 1 vertex).
+    at half the absorbing capacity (at least 1 vertex).  The cover is
+    skipped when at most min(max_inner, capacity) vertices are left off
+    the absorbing path and the reservoir: always in an attempt's first
+    reservoir round, and in its second only if none of them is unhostable.
     """
     k: int
     retries: int = 9
@@ -367,11 +370,11 @@ def _stitch_hitting_cliques(g: Graph, k: int, pa,
     """Pick one clique per hitting set off the absorbing path and chain them
     onto its y end; returns ``pa`` with the longer path.
 
-    The cliques follow every segment, so ``starts`` and ``member_ids`` hold
-    as they are.  The picks shuffle from ``SplitMix64(seed)``; the join's
-    key table is seeded by the next word.  Raises AssemblyError when every
-    candidate of a set meets the path or an earlier pick, or when
-    ``join_chain`` cannot join a clique on.
+    The cliques follow every segment, so ``starts``, ``member_ids`` and
+    ``hosts`` hold as they are.  The picks shuffle from
+    ``SplitMix64(seed)``; the join's key table is seeded by the next word.
+    Raises AssemblyError when every candidate of a set meets the path or an
+    earlier pick, or when ``join_chain`` cannot join a clique on.
     """
     hrng = SplitMix64(seed)
     chosen: list[tuple[int, ...]] = []
@@ -424,7 +427,7 @@ def _attempt(g: Graph, cfg: PipelineConfig, seed: int, max_inner: int,
         if len(family) < 2:
             raise _StageFailure("absorbing_path", stages)
         try:
-            pa = build_absorbing_path(g, k, ZETA, family, seed=s_build,
+            pa = build_absorbing_path(g, k, family, seed=s_build,
                                       node_budget=ASSEMBLY_NODE_BUDGET)
             if hitting is not None:
                 pa = _stitch_hitting_cliques(g, k, pa, hitting, s_stitch,
@@ -437,7 +440,7 @@ def _attempt(g: Graph, cfg: PipelineConfig, seed: int, max_inner: int,
                                         capacity=capacity)
         # vertices no segment can host must leave the pool by routing,
         # so the connection search is told to spend them first
-        incompat = g.full_mask() & ~pa.path.mask & ~pa.hostable(g)
+        incompat = g.full_mask() & ~pa.path.mask & ~pa.hostable
 
     # -- stages 2-5, with one reservoir resample allowed: when the cycle
     # cannot be closed by a closure whose rest absorbs, a fresh reservoir

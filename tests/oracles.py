@@ -116,6 +116,14 @@ def oracle_is_kpath(g, vertices, k):
     return True
 
 
+def oracle_segment_hosts(g, vertices, k, starts):
+    """Per segment start s, the mask of the vertices adjacent to every one
+    of vertices[s:s + 2k], tested pair by pair."""
+    return tuple(sum(1 << v for v in range(g.n)
+                     if all(g.adj[v] >> u & 1 for u in vertices[s:s + 2 * k]))
+                 for s in starts)
+
+
 def oracle_connection_count(g, x, y, k, m):
     """Number of m-tuples w of fresh vertices making x + w + y a k-path."""
     pool = set(range(g.n)) - set(x) - set(y)

@@ -31,7 +31,8 @@ from powerham.hamiltonian import _family_target
 from powerham.pathcover import KPath, is_valid_kpath
 from powerham.rng import SplitMix64
 
-from oracles import lowest_first_match, oracle_is_kpath, recursive_match
+from oracles import (lowest_first_match, oracle_is_kpath,
+                     oracle_segment_hosts, recursive_match)
 
 
 def two_disjoint_cliques(size: int) -> Graph:
@@ -189,24 +190,47 @@ def test_sample_family_coverage_matches_brute_force(n, p, gseed, k, seed):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(6, 30), st.integers(0, 2 ** 32), st.integers(1, 3),
-       st.data())
-def test_hostable_is_every_vertex_some_segment_hosts(n, gseed, k, data):
+@given(st.integers(8, 30), st.integers(0, 2 ** 32), st.integers(1, 3),
+       st.integers(0, 2 ** 64 - 1))
+def test_hostable_is_every_vertex_some_segment_hosts(n, gseed, k, seed):
     g = gnp(n, Fraction(3, 4), gseed)
-    order = data.draw(st.permutations(range(n)))
-    length = data.draw(st.integers(2 * k, n))
-    starts = data.draw(st.lists(st.sampled_from(range(0, length - 2 * k + 1, 2 * k)),
-                                min_size=1, unique=True))
-    pa = AbsorbingPath(KPath(k, tuple(order[:length])),
-                       tuple(range(len(starts))), tuple(starts))
-    hosts = [[v for v in range(n)
-              if all(g.has_edge(v, u) for u in order[s:s + 2 * k])]
-             for s in starts]
-    assert [[v for v in range(n) if h >> v & 1]
-            for h in pa.host_masks(g)] == hosts
-    hostable = pa.hostable(g)
-    assert [v for v in range(n) if hostable >> v & 1] == \
-        sorted({v for vs in hosts for v in vs})
+    fam, _ = sample_family(g, k, Fraction(1, 25), Fraction(1), seed=seed,
+                           max_members=4)
+    try:
+        pa = build_absorbing_path(g, k, fam, seed=seed)
+    except (InputError, AssemblyError):
+        return   # no member, or no join between two of them
+    hosts = oracle_segment_hosts(g, pa.path.vertices, k, pa.starts)
+    assert pa.hosts == hosts
+    assert pa.hostable == sum(1 << v for v in range(n)
+                              if any(h >> v & 1 for h in hosts))
+
+
+def test_host_table_is_built_once(monkeypatch):
+    # one common neighbourhood per segment while the path is built, and
+    # none after: absorb and hostable read the table
+    g = gnp(40, Fraction(3, 4), 1)
+    fam, _ = sample_family(g, 2, Fraction(1, 25), Fraction(1), seed=0,
+                           max_members=4)
+    assert len(fam) == 4
+    calls = []
+
+    def spy(g, verts):
+        calls.append(tuple(verts))
+        return common_neighborhood_mask(g, verts)
+    common_neighborhood_mask = absorber.common_neighborhood_mask
+    monkeypatch.setattr(absorber, "common_neighborhood_mask", spy)
+    pa = build_absorbing_path(g, 2, fam, seed=0)
+    assert sorted(calls) == sorted(ab.clique for ab in fam)
+    off = [v for v in range(g.n) if pa.hostable >> v & 1
+           and not pa.path.mask >> v & 1]
+    sets = [off[:1], off[1:3], off[:len(fam)]]
+    want = [absorb(g, pa, xs) for xs in sets], pa.hostable
+
+    def fail(g, verts):
+        raise AssertionError("host masks recomputed")
+    monkeypatch.setattr(absorber, "common_neighborhood_mask", fail)
+    assert ([absorb(g, pa, xs) for xs in sets], pa.hostable) == want
 
 
 def test_sample_family_grows_about_one_clique_per_member():
@@ -239,7 +263,7 @@ def test_sample_family_is_deterministic():
 def test_single_member_path_is_the_clique_itself():
     g = Graph.complete(6)
     fam = (VAbsorber(5, (0, 1)),)
-    pa = build_absorbing_path(g, 1, Fraction(0), fam, seed=1)
+    pa = build_absorbing_path(g, 1, fam, seed=1)
     assert pa.path.vertices == (0, 1)
     assert pa.starts == (0,)
 
@@ -250,11 +274,11 @@ def test_assembled_path_keeps_segments_contiguous():
     fam, _ = sample_family(g, 2, zeta, Fraction(1), seed=2, per_vertex_cap=1,
                            max_members=5)
     assert len(fam) == 5
-    pa = build_absorbing_path(g, 2, zeta, fam, seed=8)
+    pa = build_absorbing_path(g, 2, fam, seed=8)
     assert is_valid_kpath(g, pa.path)
     assert oracle_is_kpath(g, pa.path.vertices, 2)
-    for i, mid in enumerate(pa.member_ids):
-        assert pa.segment(i) == fam[mid].clique
+    for s, mid in zip(pa.starts, pa.member_ids):
+        assert pa.path.vertices[s:s + 4] == fam[mid].clique
     owners = [fam[mid].v for mid in pa.member_ids]
     assert owners == sorted(owners)
     # outer ends are the first segment's x-half and last segment's y-half
@@ -266,7 +290,7 @@ def test_assembly_across_components_fails_loudly():
     g = two_disjoint_cliques(6)
     fam = (VAbsorber(4, (0, 1, 2, 3)), VAbsorber(10, (6, 7, 8, 9)))
     with pytest.raises(AssemblyError) as err:
-        build_absorbing_path(g, 2, Fraction(0), fam, seed=0)
+        build_absorbing_path(g, 2, fam, seed=0)
     assert "(2, 3)" in str(err.value) and "(6, 7)" in str(err.value)
 
 
@@ -310,10 +334,25 @@ def test_join_chain_places_pieces_verbatim(n, p, k, shape, gseed, seed,
 def test_assembly_rejects_empty_or_mismatched_family():
     g = Graph.complete(8)
     with pytest.raises(InputError):
-        build_absorbing_path(g, 2, Fraction(0), ())
+        build_absorbing_path(g, 2, ())
     fam = (VAbsorber(5, (0, 1)),)
     with pytest.raises(InputError):
-        build_absorbing_path(g, 2, Fraction(0), fam)
+        build_absorbing_path(g, 2, fam)
+
+
+def test_assembly_rejects_overlapping_members():
+    g = Graph.complete(10)
+    fam = (VAbsorber(0, (1, 2, 3, 4)), VAbsorber(5, (4, 6, 7, 8)))
+    with pytest.raises(InputError, match="overlap"):
+        build_absorbing_path(g, 2, fam)
+
+
+def test_assembly_rejects_a_member_that_is_not_a_clique():
+    g = Graph.from_edges(9, [e for e in combinations(range(9), 2)
+                             if e != (2, 3)])
+    fam = (VAbsorber(0, (1, 2, 3, 4)),)
+    with pytest.raises(InputError, match="not a clique"):
+        build_absorbing_path(g, 2, fam)
 
 
 def test_assembly_on_random_graph_validates():
@@ -321,7 +360,7 @@ def test_assembly_on_random_graph_validates():
     zeta = Fraction(1, 10)
     fam, _ = sample_family(g, 2, zeta, Fraction(1), seed=13, per_vertex_cap=1,
                            max_members=6)
-    pa = build_absorbing_path(g, 2, zeta, fam, seed=13)
+    pa = build_absorbing_path(g, 2, fam, seed=13)
     assert is_valid_kpath(g, pa.path)
     assert len(pa.member_ids) == len(fam)
 
@@ -331,14 +370,14 @@ def test_assembly_on_random_graph_validates():
 def test_absorb_empty_set_is_identity():
     g = Graph.complete(8)
     fam = (VAbsorber(0, (1, 2, 3, 4)),)
-    pa = build_absorbing_path(g, 2, Fraction(0), fam, seed=1)
+    pa = build_absorbing_path(g, 2, fam, seed=1)
     assert absorb(g, pa, ()) is pa.path
 
 
 def test_absorb_single_vertex_at_midpoint():
     g = Graph.complete(8)
     fam = (VAbsorber(0, (1, 2, 3, 4)),)
-    pa = build_absorbing_path(g, 2, Fraction(0), fam, seed=1)
+    pa = build_absorbing_path(g, 2, fam, seed=1)
     out = absorb(g, pa, {0})
     assert out.vertices == (1, 2, 0, 3, 4)
 
@@ -354,7 +393,7 @@ def test_absorb_matches_beyond_first_fit():
         (2, 6), (3, 6), (4, 6), (5, 6),
     ])
     fam = (VAbsorber(0, (2, 3)), VAbsorber(0, (4, 5)))
-    pa = build_absorbing_path(g, 1, Fraction(0), fam, seed=4)
+    pa = build_absorbing_path(g, 1, fam, seed=4)
     assert pa.path.vertices == (2, 3, 4, 5)
     out = absorb(g, pa, {0, 1})
     assert sorted(out.vertices) == [0, 1, 2, 3, 4, 5]
@@ -366,7 +405,7 @@ def test_absorb_packs_a_clique_into_one_segment():
     # both 0 and 5 sit between the halves: the segment clique covers the rest
     g = Graph.complete(9)
     fam = (VAbsorber(0, (1, 2, 3, 4)),)
-    pa = build_absorbing_path(g, 2, Fraction(0), fam, seed=1)
+    pa = build_absorbing_path(g, 2, fam, seed=1)
     out = absorb(g, pa, {0, 5})
     assert oracle_is_kpath(g, out.vertices, 2)
     assert set(out.vertices) == {0, 1, 2, 3, 4, 5}
@@ -376,7 +415,7 @@ def test_absorb_capacity_error_names_the_vertex():
     # a k=2 segment holds at most two extras, the third has nowhere to go
     g = Graph.complete(9)
     fam = (VAbsorber(0, (1, 2, 3, 4)),)
-    pa = build_absorbing_path(g, 2, Fraction(0), fam, seed=1)
+    pa = build_absorbing_path(g, 2, fam, seed=1)
     with pytest.raises(CapacityError) as err:
         absorb(g, pa, {0, 5, 6})
     assert "6" in str(err.value)
@@ -387,9 +426,9 @@ def test_final_path_checks_fail_as_internal_errors(monkeypatch):
     # nor a capacity shortfall that a caller may retry past
     g = Graph.complete(9)
     fam = (VAbsorber(0, (1, 2, 3, 4)),)
-    pa = build_absorbing_path(g, 2, Fraction(0), fam, seed=1)
+    pa = build_absorbing_path(g, 2, fam, seed=1)
     monkeypatch.setattr(absorber, "is_valid_kpath", lambda g, kp: False)
-    for call in (lambda: build_absorbing_path(g, 2, Fraction(0), fam, seed=1),
+    for call in (lambda: build_absorbing_path(g, 2, fam, seed=1),
                  lambda: absorb(g, pa, {0})):
         with pytest.raises(PowerhamError, match="internal") as err:
             call()
@@ -399,7 +438,7 @@ def test_final_path_checks_fail_as_internal_errors(monkeypatch):
 def test_absorb_rejects_vertices_already_on_the_path():
     g = Graph.complete(8)
     fam = (VAbsorber(0, (1, 2, 3, 4)),)
-    pa = build_absorbing_path(g, 2, Fraction(0), fam, seed=1)
+    pa = build_absorbing_path(g, 2, fam, seed=1)
     with pytest.raises(InputError):
         absorb(g, pa, {3})
 
@@ -409,7 +448,7 @@ def test_absorb_bulk_on_random_graph():
     zeta = Fraction(1, 10)
     fam, _ = sample_family(g, 2, zeta, Fraction(1), seed=17, per_vertex_cap=1,
                            max_members=6)
-    pa = build_absorbing_path(g, 2, zeta, fam, seed=17)
+    pa = build_absorbing_path(g, 2, fam, seed=17)
     off_path = [v for v in range(g.n) if not (pa.path.mask >> v) & 1]
     seg_masks = [mask_of(fam[m].clique) for m in pa.member_ids]
     xs = [v for v in off_path
@@ -431,7 +470,7 @@ def test_absorption_preserves_validity_across_seeds():
         if len(fam) < 2:
             continue
         try:
-            pa = build_absorbing_path(g, 2, zeta, fam, seed=seed)
+            pa = build_absorbing_path(g, 2, fam, seed=seed)
         except AssemblyError:
             continue
         seg_masks = [mask_of(fam[m].clique) for m in pa.member_ids]
@@ -503,8 +542,9 @@ def test_absorb_survives_a_long_augmenting_chain():
             rows[x] |= 1 << u
             rows[u] |= 1 << x
     g = Graph(851, tuple(rows))
-    pa = AbsorbingPath(KPath(1, tuple(range(600))), tuple(range(300)),
-                       tuple(range(0, 600, 2)))
+    starts = tuple(range(0, 600, 2))
+    pa = AbsorbingPath(KPath(1, tuple(range(600))), tuple(range(300)), starts,
+                       oracle_segment_hosts(g, range(600), 1, starts))
     xs = range(600, 851)
     want = absorb(g, pa, xs)
     limit = sys.getrecursionlimit()

@@ -231,7 +231,7 @@ def test_each_stage_draws_one_key_table(monkeypatch):
     # absorbing path; the cliques avoid it
     family, _ = absorber.sample_family(g, 2, hamiltonian.ZETA, Fraction(1),
                                        seed=0, max_members=4)
-    pa = absorber.build_absorbing_path(g, 2, hamiltonian.ZETA, family, seed=0)
+    pa = absorber.build_absorbing_path(g, 2, family, seed=0)
     cliques, taken = [], pa.path.mask
     for c in list_cliques(g, 4):
         if not mask_of(c) & taken:

@@ -31,7 +31,7 @@ from powerham.rng import SplitMix64
 
 import hash_panel
 from oracles import (oracle_obstruction, oracle_power_ham_cycle,
-                     oracle_screen)
+                     oracle_screen, oracle_segment_hosts)
 
 
 def cycle_power(n, k):
@@ -507,7 +507,8 @@ def test_closing_joint_moves_past_a_rest_over_capacity(monkeypatch):
     # (5 inner of 10), goes down to 0, then up until the rest fits at 8
     calls = _spy_absorb(monkeypatch)
     g = Graph.complete(14)
-    pa = AbsorbingPath(KPath(1, (0, 1, 2, 3)), (0, 1), (0, 2))
+    pa = AbsorbingPath(KPath(1, (0, 1, 2, 3)), (0, 1), (0, 2),
+                       oracle_segment_hosts(g, (0, 1, 2, 3), 1, (0, 2)))
     stage, order = _close_alone(g, pa, mask_of(range(4, 14)), 0)
     absorbed, inner = _split_closure(stage, order, 1)
     assert [(len(xs), ok) for xs, ok in calls] == [
@@ -530,8 +531,9 @@ def test_closing_joint_moves_past_a_closure_that_strands_a_vertex(
     g = Graph.from_edges(16, [e for e in combinations(range(16), 2)
                               if not (12 in e and set(e) & miss)])
     pa = AbsorbingPath(KPath(1, tuple(range(8))), (0, 1, 2, 3),
-                       (0, 2, 4, 6))
-    assert not pa.hostable(g) >> 12 & 1
+                       (0, 2, 4, 6),
+                       oracle_segment_hosts(g, range(8), 1, (0, 2, 4, 6)))
+    assert not pa.hostable >> 12 & 1
     stage, order = _close_alone(g, pa, mask_of(range(8, 16)), 1)
     absorbed, inner = _split_closure(stage, order, 1)
     first, ok = calls[0]
@@ -701,7 +703,8 @@ def test_hitting_stitch_joins_on_a_word_drawn_after_the_shuffles(
     monkeypatch.setattr(hamiltonian, "join_chain", spy)
     g = Graph.complete(20)
     hitting = [[(4, 5), (6, 7), (8, 9)], [(10, 11), (12, 13)]]
-    pa = AbsorbingPath(KPath(2, (0, 1, 2, 3)), (0,), (0,))
+    pa = AbsorbingPath(KPath(2, (0, 1, 2, 3)), (0,), (0,),
+                       oracle_segment_hosts(g, (0, 1, 2, 3), 2, (0,)))
     hamiltonian._stitch_hitting_cliques(g, 2, pa, hitting, 99, 6)
     rng = SplitMix64(99)
     for cands in hitting:
@@ -711,13 +714,15 @@ def test_hitting_stitch_joins_on_a_word_drawn_after_the_shuffles(
 
 def test_hitting_stitch_extends_the_absorbing_path():
     # the cliques follow every segment, so segments keep their positions
-    # and absorb still inserts into them
+    # and host table, and absorb still inserts into them
     g = Graph.complete(20)
-    pa = AbsorbingPath(KPath(2, tuple(range(8))), (1, 0), (0, 4))
+    pa = AbsorbingPath(KPath(2, tuple(range(8))), (1, 0), (0, 4),
+                       oracle_segment_hosts(g, range(8), 2, (0, 4)))
     out = hamiltonian._stitch_hitting_cliques(
         g, 2, pa, [[(10, 11)], [(14, 15)]], 5, 6)
     assert isinstance(out, AbsorbingPath)
-    assert (out.member_ids, out.starts) == (pa.member_ids, pa.starts)
+    assert (out.member_ids, out.starts, out.hosts) == \
+        (pa.member_ids, pa.starts, pa.hosts)
     assert out.path.vertices[:8] == pa.path.vertices
     assert {10, 11, 14, 15} <= set(out.path.vertices[8:])
     assert is_valid_kpath(g, out.path)
