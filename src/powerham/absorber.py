@@ -102,8 +102,6 @@ class FamilyStats:
     draws: int            # grow attempts in the admission rounds
     sampled: int          # grown absorbers that survived the coin flip
     members: int          # equals sampled; perfbench/spans.py reads both
-    coverage_min: int     # per-vertex usable members
-    coverage_mean: float
 
 
 def _grow(g: Graph, v: int, k: int, used: int, threshold: int,
@@ -141,8 +139,6 @@ def sample_family(g: Graph, k: int, zeta: Fraction, p: Fraction, seed: int = DEF
     members, leaves the rotation; rounds end when one admits nothing or
     the family holds ``max_members``.  A family that falls short of
     ``max_members`` is returned as it stands; no rescue pass tops it up.
-    Coverage of w, the members whose 2k vertices w all sees, is tallied by
-    adding each member's common neighbourhood into bit planes.
     """
     p = Fraction(p)
     if not 0 < p <= 1:
@@ -183,31 +179,9 @@ def sample_family(g: Graph, k: int, zeta: Fraction, p: Fraction, seed: int = DEF
                 stay.append(v)
         rotation = stay if len(members) > before else []
 
-    # a segment absorbs w exactly when w is adjacent to all 2k of its vertices
-    hosts = [common_neighborhood_mask(g, ab.clique) for ab in members]
-    stats = FamilyStats(
-        draws=draws,
-        sampled=len(members),
-        members=len(members),
-        coverage_min=_min_count(hosts, g.full_mask()),
-        coverage_mean=sum(h.bit_count() for h in hosts) / g.n,
-    )
+    stats = FamilyStats(draws=draws, sampled=len(members),
+                        members=len(members))
     return tuple(members), stats
-
-
-def _min_count(masks: list[int], full: int) -> int:
-    """Fewest masks any vertex of `full` lies in, by bit-sliced counting."""
-    planes = [0] * len(masks).bit_length()   # no count exceeds len(masks)
-    for carry in masks:
-        for j in range(len(planes)):
-            planes[j], carry = planes[j] ^ carry, planes[j] & carry
-    low, least = full, 0
-    for j in reversed(range(len(planes))):
-        if low & ~planes[j]:
-            low &= ~planes[j]
-        else:
-            least |= 1 << j
-    return least
 
 
 @dataclass(frozen=True, eq=False)

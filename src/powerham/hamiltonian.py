@@ -2,10 +2,11 @@
 
 The pipeline runs the absorption argument in proof order: sample and join
 an absorber family into one long path, set aside a random reservoir, cover
-what is left by tight paths, close everything into a cycle through the
-reservoir, then absorb the stragglers into the absorber segments.  Every
-certificate is verified internally before it is returned, and a bounded
-brute-force oracle provides independent ground truth on small graphs.
+most of what is left by one tight path, close the two paths into a cycle
+through the reservoir, then absorb the stragglers into the absorber
+segments.  Every certificate is verified internally before it is
+returned, and a bounded brute-force oracle provides independent ground
+truth on small graphs.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ RESERVOIR_FRACTION = Fraction(1, 10)
 class PipelineConfig:
     """Power k, retry count and seed of one run; frozen for its report.
 
-    The rest is fixed: ZETA, RESERVOIR_FRACTION, and a cover that stops
-    at half the absorbing capacity (at least 1 vertex).  The cover is
+    The rest is fixed: ZETA, RESERVOIR_FRACTION, and a cover path capped
+    to leave half the absorbing capacity (at least 1 vertex).  The cover is
     skipped when at most min(max_inner, capacity) vertices are left off
     the absorbing path and the reservoir: always in an attempt's first
     reservoir round, and in its second only if none of them is unhostable.
@@ -280,14 +281,15 @@ def _practical_max_inner(mu: Fraction, k: int) -> int:
 
 def _close_cycle(g: Graph, k: int, pa, reverse: bool, cover, reservoir: int,
                  max_inner: int, seed: int, prefer: int = 0):
-    """Join the absorbing path and the cover paths into one cycle, routing
+    """Join the absorbing path and the cover path into one cycle, routing
     through the pool.
 
-    The head is ``pa.path``, back to front when ``reverse`` is set.  Piece
-    order and direction are free choices made greedily per joint; inner
-    lengths aim at an even split of the pool over the joints that remain.
-    At the closing joint ``absorb`` is the only other taker, so its ladder
-    starts at half the pool, and a closure counts only if ``absorb`` takes
+    The head is ``pa.path``, back to front when ``reverse`` is set.  The
+    joints come in a fixed order: with a cover path the first docks it
+    onto the head, tried forwards and then reversed, and the last closes
+    the cycle back to the head.  Each ladder starts at half the pool left
+    to its joint, capped at max_inner: at the closing joint ``absorb`` is
+    the only other taker, and a closure counts only if ``absorb`` takes
     every pool vertex it leaves.  Every request breaks ties by one key
     table drawn from seed.  Returns the stage record and the cycle's
     vertex order, the absorbed path first (reversed with the head), or
@@ -297,28 +299,22 @@ def _close_cycle(g: Graph, k: int, pa, reverse: bool, cover, reservoir: int,
     route = reservoir
     widen = mask_of(cover.leftover)
     keys = SplitMix64(seed).words(g.n)
-    joints = len(cover.paths) + 1
-    available: list[KPath] = list(cover.paths)
+    steps = [(p, KPath(k, p.vertices[::-1])) for p in cover.paths]
+    steps.append((head,))
+    joints = len(steps)
     tail: list[int] = []
     reservoir_used = 0
     leftover_routed = 0
     cur = head
-    for j in range(joints):
+    for j, options in enumerate(steps):
+        closing = j == joints - 1
         avail = route | widen
-        # the closing joint splits the pool with the absorbing path
-        share = ceil(avail.bit_count() / max(joints - j, 2))
-        target = min(share, max_inner, avail.bit_count())
-        if available:
-            options = [(i, p) for i, p in enumerate(available)]
-            options += [(i, KPath(k, tuple(reversed(p.vertices))))
-                        for i, p in enumerate(available)]
-        else:
-            options = [(-1, head)]      # close the cycle
+        target = min(ceil(avail.bit_count() / 2), max_inner)
         ladder = list(range(target, -1, -1))
         ladder += list(range(target + 1, max_inner + 1))
         found = None
         for t in ladder:
-            for i, cand in options:
+            for cand in options:
                 req = ConnectRequest(x_end=cur.y_end, y_end=cand.x_end, k=k,
                                      max_inner=t, min_inner=t,
                                      allowed_inner=avail,
@@ -327,22 +323,22 @@ def _close_cycle(g: Graph, k: int, pa, reverse: bool, cover, reservoir: int,
                 piece = connect(g, req, keys)
                 if piece is None:
                     continue
-                if not available:
-                    # closing joint: keep a closure only if its rest absorbs
+                if closing:
+                    # keep a closure only if its rest absorbs
                     try:
                         absorbed = absorb(g, pa, verts_of(
                             avail & ~mask_of(piece.vertices[k:-k])))
                     except CapacityError:
                         continue
-                found = (i, cand, piece)
+                found = (cand, piece)
                 break
             if found:
                 break
         if found is None:
             return {"joints": joints, "failed_joint": j,
                     "pool": avail.bit_count(),
-                    "pieces_left": len(available), "seed": seed}, None
-        i, cand, piece = found
+                    "pieces_left": joints - 1 - j, "seed": seed}, None
+        cand, piece = found
         inner = piece.vertices[k:-k]
         im = mask_of(inner)
         reservoir_used += (im & route).bit_count()
@@ -350,8 +346,7 @@ def _close_cycle(g: Graph, k: int, pa, reverse: bool, cover, reservoir: int,
         route &= ~im
         widen &= ~im
         tail += inner
-        if i >= 0:
-            available.pop(i)
+        if not closing:
             tail += cand.vertices
             cur = cand
     # insertions into the segment midpoints stay valid under reversal
@@ -467,8 +462,8 @@ def _attempt(g: Graph, cfg: PipelineConfig, seed: int, max_inner: int,
             if live.bit_count() <= min(max_inner, capacity):
                 if rnd == 0 or not live & incompat:
                     round_stop = live.bit_count()
-            # the cover harvests even isolated cliques; the cycle closure
-            # copes with weak path ends by picking order and direction
+            # the cover path may start on an isolated clique; the cycle
+            # closure docks it forwards or, failing that, reversed
             cover_seed = cseed.next_u64()
             cover = cover_with_paths(g, k, excluded=pa.path.mask | reservoir,
                                      stop_size=round_stop, seed=cover_seed)

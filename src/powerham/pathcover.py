@@ -1,4 +1,4 @@
-"""Long tight paths in the clique hypergraph, and almost-perfect covers.
+"""Long tight paths in the clique hypergraph, and the one-path cover.
 
 The auxiliary hypergraph has one edge per (k+1)-clique of the host graph.
 After pruning away every k-tuple lying in too few edges, any maximal tight
@@ -6,11 +6,12 @@ path must be long: the end tuple's surviving extensions all sit inside the
 path, and pruning guarantees there are more than the threshold of them.
 Acceptance criterion 3 checks exactly that on pruned hypergraphs.
 
-The cover routine does not prune: it grows greedy tight paths through
-every (k+1)-clique of whatever is still uncovered.  A path grows from the
-bit rows alone, so the degree table is listed only when pruning or a
-caller reads it; only pruned-away edges are stored explicitly, and with
-none a growth step scores its candidates in C (see greedy_tight_path).
+The cover routine does not prune: it grows one greedy tight path through
+the (k+1)-cliques of the live vertices, and what the path misses is the
+leftover.  A path grows from the bit rows alone, so the degree table is
+listed only when pruning or a caller reads it; only pruned-away edges are
+stored explicitly, and with none a growth step scores its candidates in
+C (see greedy_tight_path).
 """
 
 from __future__ import annotations
@@ -265,29 +266,29 @@ class PathCover:
         return len(self.leftover) <= self.stop_size
 
 
-def cover_with_paths(g: Graph, k: int, excluded, stop_size: int,
+def cover_with_paths(g: Graph, k: int, excluded: int, stop_size: int,
                      seed: int) -> PathCover:
-    """Disjoint tight paths over everything outside `excluded`.
+    """At most one tight path over the vertices outside the `excluded` mask.
 
-    Each round grows one greedy path through the still-uncovered vertices,
-    capped at the length that would land the leftover on stop_size
-    (callers that route spare vertices through connections rely on the
-    leftover not undershooting stop_size).  Stops at stop_size uncovered
-    or when the uncovered set holds no (k+1)-clique; the shortfall is
-    visible in the returned leftover, never raised.
+    The path is one greedy tight path through the live vertices, seeded by
+    ``SplitMix64(seed).next_u64()`` and capped at the length that would
+    land the leftover on stop_size (callers that route spare vertices
+    through connections rely on the leftover not undershooting stop_size).
+    It is skipped when at most stop_size vertices are live or none of
+    them lies in a (k+1)-clique; a shortfall is visible in the returned
+    leftover, never raised.
     """
     if stop_size < 0:
         raise InputError("stop_size must be >= 0")
-    rng = SplitMix64(seed)
-    live = g.full_mask() & ~(excluded if isinstance(excluded, int) else mask_of(excluded))
-    paths: list[KPath] = []
-    while live.bit_count() > stop_size:
+    live = g.full_mask() & ~excluded
+    if live.bit_count() > stop_size:
         h = build_clique_hypergraph(g, k, within=live)
         keep = max(k + 1, live.bit_count() - stop_size)
         try:
-            path = greedy_tight_path(h, rng.next_u64(), limit=keep)
+            path = greedy_tight_path(h, SplitMix64(seed).next_u64(),
+                                     limit=keep)
         except NoCliquesError:
-            break
-        paths.append(path)
-        live &= ~path.mask
-    return PathCover(tuple(paths), verts_of(live), stop_size)
+            pass
+        else:
+            return PathCover((path,), verts_of(live & ~path.mask), stop_size)
+    return PathCover((), verts_of(live), stop_size)

@@ -247,12 +247,13 @@ def test_each_stage_draws_one_key_table(monkeypatch):
 
     draws.clear()
     tables.clear()
-    cover = SimpleNamespace(paths=[KPath(2, c) for c in pieces], leftover=())
-    reservoir = g.full_mask() & ~taken
+    # one cover piece; the pool is every vertex off the path and the piece
+    cover = SimpleNamespace(paths=[KPath(2, pieces[0])], leftover=())
+    reservoir = g.full_mask() & ~pa.path.mask & ~mask_of(pieces[0])
     stage, order = hamiltonian._close_cycle(g, 2, pa, False, cover,
                                             reservoir, 8, 7)
-    assert order is not None and stage["joints"] == 4
-    assert draws == [g.n] and len(tables) >= 4
+    assert order is not None and stage["joints"] == 2
+    assert draws == [g.n] and len(tables) >= 2
     assert all(t is tables[0] for t in tables)
 
     # a call handed no table draws its own from req.seed

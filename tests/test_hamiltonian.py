@@ -455,13 +455,14 @@ def test_timings_cover_setup_and_every_attempt(monkeypatch):
     monkeypatch.setattr(hamiltonian, "time",
                         SimpleNamespace(perf_counter=lambda: next(ticks)))
     # two K10s sharing vertex 0 pass both screens, but the cut vertex lies
-    # on no Hamilton cycle; every attempt builds the absorbing path, then
-    # fails to close the cycle in both reservoir rounds
+    # on no Hamilton cycle; at this seed every attempt builds the absorbing
+    # path, then fails to close the cycle in both reservoir rounds (at
+    # seed 0 one cover path cannot take both halves' residues)
     g = Graph.from_edges(19, list(combinations(range(10), 2))
                          + list(combinations((0, *range(10, 19)), 2)))
     for retries in (0, 2):
         rep = find_hamiltonian_power(
-            g, PipelineConfig(k=1, seed=0, retries=retries)).report
+            g, PipelineConfig(k=1, seed=2, retries=retries)).report
         assert rep.failed_stage == "connect"
         assert rep.attempts == retries + 1
         assert set(rep.timings) <= {"setup", *STAGES}
@@ -470,6 +471,18 @@ def test_timings_cover_setup_and_every_attempt(monkeypatch):
                                "reservoir": 2 * rep.attempts,
                                "cover": 2 * rep.attempts,
                                "connect": 2 * rep.attempts}
+
+
+def test_close_cycle_docks_a_cover_path_reversed():
+    # on the 6-cycle 0-1-2-5-4-3 only the reversed cover path docks onto
+    # the head's end 2, and its far end 3 then closes back to 0
+    g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 5), (5, 4), (4, 3), (3, 0)])
+    pa = AbsorbingPath(KPath(1, (0, 1, 2)), (), (), ())
+    cover = SimpleNamespace(paths=[KPath(1, (3, 4, 5))], leftover=())
+    stage, order = hamiltonian._close_cycle(g, 1, pa, False, cover, 0, 4, 0)
+    assert order == (0, 1, 2, 5, 4, 3)
+    assert stage["joints"] == 2 and stage["inner_total"] == 0
+    assert verify(g, Certificate(1, order)) == (True, None)
 
 
 def _spy_absorb(monkeypatch):
@@ -552,7 +565,7 @@ def test_every_closed_layout_carries_a_valid_absorbed_head(n, k, seed):
 
     def spy(g, k, pa, reverse, cover, reservoir, *rest):
         stage, order = close(g, k, pa, reverse, cover, reservoir, *rest)
-        # the order ends in the joints' inners and the cover paths
+        # the order ends in the joints' inners and the cover path
         tail = (None if order is None else
                 stage["inner_total"] + sum(map(len, cover.paths)))
         layouts.append((pa, reservoir | mask_of(cover.leftover),

@@ -161,20 +161,20 @@ def test_greedy_k1_path():
 # ------------------------------------------------------------------ covers
 
 def test_cover_complete_graph():
-    pc = cover_with_paths(Graph.complete(30), 2, (), 0, 7)
+    pc = cover_with_paths(Graph.complete(30), 2, 0, 0, 7)
     assert len(pc.paths) == 1 and len(pc.paths[0]) == 30
     assert pc.leftover == () and pc.reached_stop
 
 
 def test_cover_no_cliques():
-    pc = cover_with_paths(Graph.cycle(5), 2, (), 0, 7)
+    pc = cover_with_paths(Graph.cycle(5), 2, 0, 0, 7)
     assert pc.paths == () and pc.leftover == (0, 1, 2, 3, 4)
     assert not pc.reached_stop
 
 
 def test_cover_gnp_fixture():
     g = gnp(60, Fraction(7, 10), 12)
-    pc = cover_with_paths(g, 2, (), 6, 3)
+    pc = cover_with_paths(g, 2, 0, 6, 3)
     assert len(pc.leftover) <= 6 and pc.reached_stop
     seen = set()
     for p in pc.paths:
@@ -186,15 +186,25 @@ def test_cover_gnp_fixture():
 
 def test_cover_respects_excluded():
     g = Graph.complete(20)
-    pc = cover_with_paths(g, 2, range(10), 0, 1)
+    pc = cover_with_paths(g, 2, mask_of(range(10)), 0, 1)
     assert all(v >= 10 for p in pc.paths for v in p.vertices)
     assert pc.leftover == ()
 
 
+def test_cover_is_one_path_of_two_disjoint_cliques():
+    # the path takes one K5 and leaves the other, though stop 0 asks for all
+    g = Graph.from_edges(10, list(combinations(range(5), 2))
+                         + list(combinations(range(5, 10), 2)))
+    pc = cover_with_paths(g, 2, 0, 0, 3)
+    assert len(pc.paths) == 1 and len(pc.paths[0]) == 5
+    assert len(pc.leftover) == 5 and not pc.reached_stop
+    assert set(pc.paths[0].vertices) | set(pc.leftover) == set(range(10))
+
+
 def test_cover_determinism():
     g = gnp(30, Fraction(3, 4), 2)
-    a = cover_with_paths(g, 2, (), 3, 42)
-    b = cover_with_paths(g, 2, (), 3, 42)
+    a = cover_with_paths(g, 2, 0, 3, 42)
+    b = cover_with_paths(g, 2, 0, 3, 42)
     assert a == b
 
 
@@ -202,21 +212,27 @@ def test_cover_determinism():
 @given(st.integers(0, 2 ** 32), st.integers(2, 12), st.integers(1, 3),
        st.sampled_from((Fraction(1, 2), Fraction(3, 4), Fraction(9, 10))),
        st.integers(0, 2 ** 12 - 1), st.integers(0, 12), st.integers(0, 12))
-def test_cover_partitions_live_set_and_exhausts_cliques(seed, n, k, p,
-                                                        excluded, stop_size,
-                                                        extra):
+def test_cover_is_one_path_whose_leftover_completes_the_live_set(
+        seed, n, k, p, excluded, stop_size, extra):
     g = gnp(n, p, seed)
     live = set(verts_of(g.full_mask() & ~excluded))
     pc = cover_with_paths(g, k, excluded, stop_size, seed)
-    seen = set()
-    for path in pc.paths:
+    assert len(pc.paths) <= 1
+    covered = set(pc.paths[0].vertices) if pc.paths else set()
+    left = set(pc.leftover)
+    assert not covered & left and covered | left == live
+    if pc.paths:
+        path = pc.paths[0]
         assert oracle_is_kpath(g, path.vertices, k)
-        assert set(path.vertices) <= live and not seen & set(path.vertices)
-        seen |= set(path.vertices)
-    assert not seen & set(pc.leftover)
-    assert seen | set(pc.leftover) == live
+        assert len(path) <= max(k + 1, len(live) - stop_size)
     if not pc.reached_stop:
-        assert oracle_cliques(g, k + 1, within=pc.leftover) == []
+        # short of the stop: the path is maximal, or nothing could start one
+        if pc.paths:
+            for end in (path.x_end, path.y_end):
+                assert not any(all(g.has_edge(w, u) for u in end)
+                               for w in left)
+        else:
+            assert oracle_cliques(g, k + 1, within=live) == []
 
     h = build_clique_hypergraph(g, k, within=mask_of(live))
     limit = k + 1 + extra
