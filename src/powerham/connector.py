@@ -9,9 +9,9 @@ Docking is exact by construction: a level whose fixed (x_end, y_end) pairs
 within distance k are not all edges is refuted before any node is spent (so
 is a level with more inner vertices than the pool holds), and every inner
 vertex must see the prefix of the target it lies within k of, so every leaf
-the search reaches docks.  Ties break by ``(not preferred, keys[v])`` over
-a table of ``SplitMix64(seed).words(n)``, which a stage draws once for all
-its calls; a call given none draws its own from ``req.seed``.
+the search reaches docks.  Ties break by ``keys[v]`` alone: the calling
+stage draws one table for all its calls and lowers the keys of any vertex
+it wants routed first.
 """
 
 from __future__ import annotations
@@ -21,10 +21,8 @@ from math import inf
 from typing import Optional, Sequence
 
 from powerham.errors import InputError
-from powerham.graph import (Graph, common_neighborhood_mask, is_clique,
-                            mask_of, verts_of)
+from powerham.graph import Graph, common_neighborhood_mask, is_clique, mask_of
 from powerham.pathcover import KPath
-from powerham.rng import SplitMix64
 
 
 @dataclass(frozen=True)
@@ -34,8 +32,6 @@ class ConnectRequest:
     k: int
     max_inner: int
     allowed_inner: Optional[int] = None   # vertex mask; None = anywhere
-    prefer_inner: int = 0                 # vertex mask, tried first
-    seed: int = 0
     node_budget: Optional[int] = None     # None = exhaustive
     min_inner: int = 0                    # skip connections shorter than this
 
@@ -66,7 +62,7 @@ def _search(g: Graph, req: ConnectRequest, m: int, budget: _Budget,
     Returns a vertex tuple, or None once the space or the budget is spent.
     The budget counts nodes, prefixes with fewer than m inner vertices:
     one unit of ``budget.left`` each, written back once.  Candidates go by
-    ascending ``keys[v]``; ``connect`` lowers the preferred ones by 2**64.
+    ascending ``keys[v]``.
     """
     k, adj, y_end = req.k, g.adj, req.y_end
     # x_end[t] and y_end[i] lie within distance k iff t >= m + i; no inner
@@ -132,18 +128,12 @@ def _masks(g: Graph, req: ConnectRequest) -> tuple[int, list[int]]:
 
 
 def connect(g: Graph, req: ConnectRequest,
-            keys: Optional[Sequence[int]] = None) -> Optional[KPath]:
+            keys: Sequence[int]) -> Optional[KPath]:
     """Shortest-inner-count connection between the two ordered ends; ties
-    break by ``keys``, the calling stage's table (``req.seed``'s if None),
-    copied only to lower its preferred pool vertices by 2**64."""
+    break by ascending ``keys[v]``, the calling stage's table."""
     req._validate(g)
-    keys = SplitMix64(req.seed).words(g.n) if keys is None else keys
     budget = _Budget(req.node_budget)
     pool, dock = _masks(g, req)
-    if lift := req.prefer_inner & pool:
-        keys = list(keys)
-        for v in verts_of(lift):
-            keys[v] -= 1 << 64
     for m in range(req.min_inner, req.max_inner + 1):
         got = _search(g, req, m, budget, keys, pool, dock)
         if got is not None:
@@ -151,4 +141,3 @@ def connect(g: Graph, req: ConnectRequest,
         if budget.left is not None and budget.left <= 0:
             return None
     return None
-

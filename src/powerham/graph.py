@@ -222,18 +222,14 @@ def is_clique(g: Graph, verts: Iterable[int]) -> bool:
     return True
 
 
-def list_cliques(g: Graph, k: int, within: int | Iterable[int] | None = None
+def list_cliques(g: Graph, k: int, within: int | None = None
                  ) -> Iterator[tuple[int, ...]]:
-    """Yield the k-cliques inside `within` as ascending tuples, lex order.
-
-    `within` is a bitmask or an iterable of vertices; None means all of V.
-    k = 0 yields the single empty clique.
+    """Yield the k-cliques inside the mask `within` (None means all of V)
+    as ascending tuples, lex order; k = 0 yields the single empty clique.
     """
     if k < 0:
         raise InputError("clique order must be >= 0")
-    pool = g.full_mask()
-    if within is not None:
-        pool &= within if isinstance(within, int) else mask_of(within)
+    pool = g.full_mask() if within is None else g.full_mask() & within
     if k == 0:
         yield ()
         return
@@ -255,8 +251,7 @@ def list_cliques(g: Graph, k: int, within: int | Iterable[int] | None = None
     yield from grow((), pool)
 
 
-def count_cliques(g: Graph, k: int, within: int | Iterable[int] | None = None
-                  ) -> int:
+def count_cliques(g: Graph, k: int, within: int | None = None) -> int:
     """Number of unordered k-cliques: the length of ``list_cliques``."""
     return sum(1 for _ in list_cliques(g, k, within))
 

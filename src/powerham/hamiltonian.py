@@ -282,7 +282,7 @@ def _practical_max_inner(mu: Fraction, k: int) -> int:
 def _close_cycle(g: Graph, k: int, pa, reverse: bool, cover, reservoir: int,
                  max_inner: int, seed: int, prefer: int = 0):
     """Join the absorbing path and the cover path into one cycle, routing
-    through the pool.
+    through the pool: the reservoir plus the cover's leftover.
 
     The head is ``pa.path``, back to front when ``reverse`` is set.  The
     joints come in a fixed order: with a cover path the first docks it
@@ -291,25 +291,25 @@ def _close_cycle(g: Graph, k: int, pa, reverse: bool, cover, reservoir: int,
     to its joint, capped at max_inner: at the closing joint ``absorb`` is
     the only other taker, and a closure counts only if ``absorb`` takes
     every pool vertex it leaves.  Every request breaks ties by one key
-    table drawn from seed.  Returns the stage record and the cycle's
-    vertex order, the absorbed path first (reversed with the head), or
-    None for the order when a joint failed.
+    table drawn from seed, in which the ``prefer`` vertices' keys are
+    lowered by 2**64 so that they are routed first.  Returns the stage
+    record and the cycle's vertex order, the absorbed path first (reversed
+    with the head), or None for the order when a joint failed.
     """
     head = KPath(k, pa.path.vertices[::-1]) if reverse else pa.path
-    route = reservoir
-    widen = mask_of(cover.leftover)
-    keys = SplitMix64(seed).words(g.n)
+    pool = reservoir | mask_of(cover.leftover)
+    keys = list(SplitMix64(seed).words(g.n))
+    for v in verts_of(prefer):
+        keys[v] -= 1 << 64
     steps = [(p, KPath(k, p.vertices[::-1])) for p in cover.paths]
     steps.append((head,))
     joints = len(steps)
     tail: list[int] = []
-    reservoir_used = 0
-    leftover_routed = 0
+    routed = 0
     cur = head
     for j, options in enumerate(steps):
         closing = j == joints - 1
-        avail = route | widen
-        target = min(ceil(avail.bit_count() / 2), max_inner)
+        target = min(ceil(pool.bit_count() / 2), max_inner)
         ladder = list(range(target, -1, -1))
         ladder += list(range(target + 1, max_inner + 1))
         found = None
@@ -317,8 +317,7 @@ def _close_cycle(g: Graph, k: int, pa, reverse: bool, cover, reservoir: int,
             for cand in options:
                 req = ConnectRequest(x_end=cur.y_end, y_end=cand.x_end, k=k,
                                      max_inner=t, min_inner=t,
-                                     allowed_inner=avail,
-                                     prefer_inner=prefer & avail,
+                                     allowed_inner=pool,
                                      node_budget=CONNECT_NODE_BUDGET)
                 piece = connect(g, req, keys)
                 if piece is None:
@@ -327,7 +326,7 @@ def _close_cycle(g: Graph, k: int, pa, reverse: bool, cover, reservoir: int,
                     # keep a closure only if its rest absorbs
                     try:
                         absorbed = absorb(g, pa, verts_of(
-                            avail & ~mask_of(piece.vertices[k:-k])))
+                            pool & ~mask_of(piece.vertices[k:-k])))
                     except CapacityError:
                         continue
                 found = (cand, piece)
@@ -336,25 +335,23 @@ def _close_cycle(g: Graph, k: int, pa, reverse: bool, cover, reservoir: int,
                 break
         if found is None:
             return {"joints": joints, "failed_joint": j,
-                    "pool": avail.bit_count(),
+                    "pool": pool.bit_count(),
                     "pieces_left": joints - 1 - j, "seed": seed}, None
         cand, piece = found
         inner = piece.vertices[k:-k]
-        im = mask_of(inner)
-        reservoir_used += (im & route).bit_count()
-        leftover_routed += (im & widen).bit_count()
-        route &= ~im
-        widen &= ~im
+        routed |= mask_of(inner)
+        pool &= ~routed
         tail += inner
         if not closing:
             tail += cand.vertices
             cur = cand
     # insertions into the segment midpoints stay valid under reversal
     order = absorbed.vertices[::-1] if reverse else absorbed.vertices
+    reservoir_used = (routed & reservoir).bit_count()
     stage = {"joints": joints,
-             "inner_total": reservoir_used + leftover_routed,
+             "inner_total": routed.bit_count(),
              "reservoir_used": reservoir_used,
-             "leftover_routed": leftover_routed,
+             "leftover_routed": routed.bit_count() - reservoir_used,
              "seed": seed}
     return stage, order + tuple(tail)
 
@@ -445,6 +442,8 @@ def _attempt(g: Graph, cfg: PipelineConfig, seed: int, max_inner: int,
     cseed = SplitMix64(s_cover)
     xseed = SplitMix64(s_connect)
     for rnd in range(2):
+        # a round reports only its own later stages, never the last round's
+        stages = {"absorbing_path": stages["absorbing_path"]}
         with _timed(timings, "reservoir"):
             round_seed = rseed.next_u64()
             reservoir = _reservoir(g.full_mask() & ~pa.path.mask, round_seed)

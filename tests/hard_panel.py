@@ -7,11 +7,12 @@ Each input runs once at seed 0 with the default retries:
 ``gnp(200, 1/2)`` at k=3, ``two_overlapping_cliques(200, 1/10)`` at k=3
 and ``two_overlapping_cliques(200, 1/4)`` at k=2.  One line per input
 gives whether a certificate was found, the attempts, the failed stage,
-the wall seconds of the find, ``report.timings["connect"]`` and the
-SHA-256 of the certificate's JSON (``null`` when none was found), so two
-trees can be compared byte for byte as well as by outcome.  The last
-input dominates: it takes over a minute on a 2-CPU machine.  The file
-name keeps pytest from collecting it; it is not a benchmark workload.
+the wall seconds of the find, ``report.timings["connect"]``, the SHA-256
+of the certificate's JSON (``null`` when none was found) and the SHA-256
+of ``report.to_json_dict()``, so two trees can be compared byte for byte,
+failed finds included, as well as by outcome.  The last input dominates:
+it takes over a minute on a 2-CPU machine.  The file name keeps pytest
+from collecting it; it is not a benchmark workload.
 """
 
 from __future__ import annotations
@@ -28,6 +29,11 @@ CASES = (("gnp(200, 1/2)", "gnp", Fraction(1, 2), 3),
           Fraction(1, 10), 3),
          ("two_overlapping_cliques(200, 1/4)", "two_overlapping_cliques",
           Fraction(1, 4), 2))
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(
+        obj, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
 
 def main(argv: list[str]) -> int:
@@ -49,12 +55,11 @@ def main(argv: list[str]) -> int:
         rep = res.report
         cert = (None if res.certificate is None
                 else res.certificate.to_json_dict())
-        digest = hashlib.sha256(json.dumps(
-            cert, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
         print(f"{label} k={k}: found {res.ok} attempts {rep.attempts} "
               f"failed_stage {rep.failed_stage} wall_s {wall:.2f} "
               f"connect_s {rep.timings.get('connect', 0.0):.2f} "
-              f"sha256 {digest}", flush=True)
+              f"sha256 {_digest(cert)} "
+              f"report_sha256 {_digest(rep.to_json_dict())}", flush=True)
     return 0
 
 

@@ -237,27 +237,24 @@ def first_asymmetric_pair(rows):
     return None
 
 
-def eager_connect(g, req, keys=None):
+def eager_connect(g, req, keys, preferred):
     """``connect`` as iterative deepening over ``recursive_search``.
 
     Same contract: levels ``min_inner`` up to ``max_inner``, one node budget
     shared by all of them, ties by ``(not preferred, keys[v])`` with
-    ``keys`` the stage's table or ``SplitMix64(req.seed).words(n)``.  It
-    runs ``ConnectRequest._validate``, ``connector._masks`` and
-    ``SplitMix64.words`` from the code under test; it checks the levels,
-    the budget and the order, not those.
+    ``keys`` the stage's table as drawn and ``preferred`` a vertex mask.
+    It runs ``ConnectRequest._validate`` and ``connector._masks`` from the
+    code under test; it checks the levels, the budget and the order, not
+    those.
     """
     from powerham.connector import _masks
     from powerham.pathcover import KPath
-    from powerham.rng import SplitMix64
 
     req._validate(g)
-    if keys is None:
-        keys = SplitMix64(req.seed).words(g.n)
     budget = Budget(req.node_budget)
     pool, dock = _masks(g, req)
     for m in range(req.min_inner, req.max_inner + 1):
-        got = recursive_search(g, req, m, budget, keys, pool, dock)
+        got = recursive_search(g, req, m, budget, keys, pool, dock, preferred)
         if got is not None:
             return KPath(req.k, got)
         if budget.left is not None and budget.left <= 0:
@@ -282,15 +279,15 @@ class Budget:
         return True
 
 
-def recursive_search(g, req, m, budget, keys, pool, dock):
+def recursive_search(g, req, m, budget, keys, pool, dock, preferred):
     """``connector._search`` as it was before its nodes were made cheap.
 
     Same contract and arguments, with a ``Budget`` whose ``spend`` each
-    node calls and ``keys`` the stage's table as drawn: candidates come
-    from ``verts_of`` and are sorted by a ``(not preferred, keys[v])``
-    tuple per candidate, so ``connect``'s lowering of the preferred keys is
-    not needed here.  It runs ``verts_of`` from the code under test; it
-    checks the DFS, not that.
+    node calls, ``keys`` the stage's table as drawn and the ``preferred``
+    vertex mask: candidates come from ``verts_of`` and are sorted by a
+    ``(not preferred, keys[v])`` tuple per candidate, so the closing
+    stage's lowering of the preferred keys is not needed here.  It runs
+    ``verts_of`` from the code under test; it checks the DFS, not that.
     """
     from powerham.graph import verts_of
 
@@ -318,7 +315,7 @@ def recursive_search(g, req, m, budget, keys, pool, dock):
         if j >= 1:
             win &= dock[min(j, k)]
         cands = sorted(verts_of(win),
-                       key=lambda v: (not req.prefer_inner >> v & 1, keys[v]))
+                       key=lambda v: (not preferred >> v & 1, keys[v]))
         for v in cands:
             seq.append(v)
             got = rec(depth + 1, used | 1 << v)

@@ -11,12 +11,23 @@ from powerham.connector import (ConnectRequest, _Budget, _masks, _search,
                                 connect)
 from powerham.errors import InputError
 from powerham.generators import gnp
-from powerham.graph import Graph, list_cliques, mask_of
+from powerham.graph import Graph, list_cliques, mask_of, verts_of
 from powerham.pathcover import KPath, is_valid_kpath
 from powerham.rng import SplitMix64
 
 from oracles import (Budget, eager_connect, oracle_connection_count,
                      oracle_is_kpath, recursive_search)
+
+
+def table(n, seed=0):
+    """A stage's key table, as ``join_chain`` and ``_close_cycle`` draw it."""
+    return SplitMix64(seed).words(n)
+
+
+def lowered(keys, preferred):
+    """``keys`` with the ``preferred`` vertices' keys lowered by 2**64, as
+    ``_close_cycle`` lowers them."""
+    return [w - ((preferred >> v & 1) << 64) for v, w in enumerate(keys)]
 
 
 def two_disjoint_cliques(g, k):
@@ -33,21 +44,21 @@ def two_disjoint_cliques(g, k):
 def test_connect_adjacent_ends():
     g = Graph.complete(8)
     req = ConnectRequest((0, 1), (2, 3), k=2, max_inner=0)
-    p = connect(g, req)
+    p = connect(g, req, table(8))
     assert p is not None and p.vertices == (0, 1, 2, 3)
 
 
 def test_connect_across_components_fails():
     g = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     req = ConnectRequest((0, 1), (3, 4), k=2, max_inner=4)
-    assert connect(g, req) is None
+    assert connect(g, req, table(6)) is None
 
 
 def test_connect_gnp_validates():
     g = gnp(40, Fraction(3, 4), 3)
     x, y = two_disjoint_cliques(g, 2)
-    req = ConnectRequest(x, y, k=2, max_inner=12, seed=5)
-    p = connect(g, req)
+    req = ConnectRequest(x, y, k=2, max_inner=12)
+    p = connect(g, req, table(40, 5))
     assert p is not None
     assert is_valid_kpath(g, p)
     assert p.vertices[:2] == x and p.vertices[-2:] == y
@@ -58,13 +69,14 @@ def test_connect_respects_forbidden_and_allowed():
     req = ConnectRequest((0, 1), (2, 3), k=2, max_inner=3,
                          allowed_inner=mask_of((7, 8)))
     # force at least one inner vertex by walls: none needed in K10, so m=0 wins
-    p = connect(g, req)
+    p = connect(g, req, table(10))
     assert p.vertices == (0, 1, 2, 3)
     # now sever the direct dock so an inner vertex is required
     g2 = Graph.from_edges(10, [(u, v) for u in range(10) for v in range(u + 1, 10)
                                if (u, v) != (1, 2)])
     p2 = connect(g2, ConnectRequest((0, 1), (2, 3), k=2, max_inner=3,
-                                    allowed_inner=mask_of((7, 8))))
+                                    allowed_inner=mask_of((7, 8))),
+                 table(10))
     assert p2 is not None
     inner = set(p2.vertices) - {0, 1, 2, 3}
     assert inner and inner <= {7, 8}
@@ -74,7 +86,7 @@ def test_connect_respects_forbidden_and_allowed():
     for seed in range(5):
         p3 = connect(g2, ConnectRequest((0, 1), (2, 3), k=2, max_inner=3,
                                         allowed_inner=g2.full_mask()
-                                        & ~forbidden, seed=seed))
+                                        & ~forbidden), table(10, seed))
         inner = set(p3.vertices) - {0, 1, 2, 3}
         assert inner and inner <= {8, 9}
         assert len(p3.vertices) == len(set(p3.vertices))
@@ -84,8 +96,9 @@ def test_connect_prefers_marked_inner():
     edges = [(u, v) for u in range(10) for v in range(u + 1, 10)
              if (u, v) != (0, 1)]
     g = Graph.from_edges(10, edges)
-    req = ConnectRequest((0,), (1,), k=1, max_inner=2, prefer_inner=1 << 7)
-    p = connect(g, req)
+    # the mark is a lowered key, as ``_close_cycle`` lowers its preferred
+    req = ConnectRequest((0,), (1,), k=1, max_inner=2)
+    p = connect(g, req, lowered(table(10), 1 << 7))
     assert p.vertices == (0, 7, 1)
 
 
@@ -93,7 +106,7 @@ def test_connect_minimality():
     g = gnp(20, Fraction(7, 10), 9)
     got = two_disjoint_cliques(g, 2)
     x, y = got
-    p = connect(g, ConnectRequest(x, y, k=2, max_inner=4))
+    p = connect(g, ConnectRequest(x, y, k=2, max_inner=4), table(20))
     assert p is not None
     m = len(p) - 4
     for smaller in range(m):
@@ -104,31 +117,31 @@ def test_connect_budget_exhaustion():
     g = gnp(24, Fraction(3, 5), 4)
     x, y = two_disjoint_cliques(g, 2)
     req = ConnectRequest(x, y, k=2, max_inner=6, node_budget=0)
-    full = connect(g, ConnectRequest(x, y, k=2, max_inner=6))
+    full = connect(g, ConnectRequest(x, y, k=2, max_inner=6), table(24))
     assert full is not None and len(full) > 4  # needs at least one expansion
-    assert connect(g, req) is None  # starved search gives up
+    assert connect(g, req, table(24)) is None  # starved search gives up
 
 
 def test_connect_input_errors():
-    g = Graph.cycle(6)
-    with pytest.raises(InputError):
-        connect(g, ConnectRequest((0, 2), (3, 4), k=2, max_inner=2))  # not a clique
-    with pytest.raises(InputError):
-        connect(g, ConnectRequest((0, 1), (1, 2), k=2, max_inner=2))  # overlap
+    g, keys = Graph.cycle(6), table(6)
+    with pytest.raises(InputError):   # not a clique
+        connect(g, ConnectRequest((0, 2), (3, 4), k=2, max_inner=2), keys)
+    with pytest.raises(InputError):   # overlap
+        connect(g, ConnectRequest((0, 1), (1, 2), k=2, max_inner=2), keys)
     with pytest.raises(InputError):
         connect(Graph.complete(6),
-                ConnectRequest((0, 1), (2, 3), k=2, max_inner=-1))
+                ConnectRequest((0, 1), (2, 3), k=2, max_inner=-1), keys)
     with pytest.raises(InputError):
         connect(Graph.complete(6),
                 ConnectRequest((0, 1), (2, 3), k=2, max_inner=2,
-                               min_inner=3))
+                               min_inner=3), keys)
 
 
 def test_connect_determinism():
     g = gnp(30, Fraction(3, 4), 6)
     x, y = two_disjoint_cliques(g, 2)
-    req = ConnectRequest(x, y, k=2, max_inner=8, seed=11)
-    assert connect(g, req) == connect(g, req)
+    req = ConnectRequest(x, y, k=2, max_inner=8)
+    assert connect(g, req, table(30, 11)) == connect(g, req, table(30, 11))
 
 
 # --------------------------------------------------------------- counting
@@ -143,7 +156,8 @@ def test_connect_complete_up_to_enumeration(seed, n, k, p, data):
         return
     x, y = (tuple(data.draw(st.permutations(c))) for c in got)
     counts = [oracle_connection_count(g, x, y, k, m) for m in range(5)]
-    path = connect(g, ConnectRequest(x, y, k=k, max_inner=4, seed=seed))
+    keys = table(n, seed)
+    path = connect(g, ConnectRequest(x, y, k=k, max_inner=4), keys)
     if path is None:
         assert all(c == 0 for c in counts)
     else:
@@ -151,8 +165,8 @@ def test_connect_complete_up_to_enumeration(seed, n, k, p, data):
         m = len(path) - 2 * k
         assert counts[m] > 0 and all(c == 0 for c in counts[:m])
     for m, count in enumerate(counts):
-        req = ConnectRequest(x, y, k=k, max_inner=m, min_inner=m, seed=seed)
-        path = connect(g, req)
+        req = ConnectRequest(x, y, k=k, max_inner=m, min_inner=m)
+        path = connect(g, req, keys)
         assert (path is None) == (count == 0), (m, count)
         if path is not None:
             assert len(path) == 2 * k + m
@@ -162,7 +176,7 @@ def test_connect_complete_up_to_enumeration(seed, n, k, p, data):
         # level before it spends a node
         if any(not g.adj[y[i]] >> x[t] & 1
                for i in range(k) for t in range(m + i, k)):
-            budget, keys = _Budget(1), SplitMix64(seed).words(n)
+            budget = _Budget(1)
             assert _search(g, req, m, budget, keys, *_masks(g, req)) is None
             assert budget.left == 1
 
@@ -173,10 +187,10 @@ def test_level_longer_than_the_pool_spends_no_budget():
     req = ConnectRequest((0, 1), (2, 3), k=2, max_inner=3, min_inner=3,
                          allowed_inner=mask_of((4, 5)), node_budget=5)
     pool, dock = _masks(g, req)
-    budget, keys = _Budget(5), SplitMix64(0).words(8)
+    budget, keys = _Budget(5), table(8)
     assert _search(g, req, 3, budget, keys, pool, dock) is None
     assert budget.left == 5
-    assert connect(g, req) is None
+    assert connect(g, req, keys) is None
     budget = _Budget(5)
     assert _search(g, req, 2, budget, keys, pool, dock) is not None
     assert budget.left < 5
@@ -203,15 +217,34 @@ def test_connect_matches_key_table_oracle(n, p, gseed, k, data):
     req = ConnectRequest(
         tuple(x[i] for i in perm), y, k=k, max_inner=max_inner,
         allowed_inner=data.draw(st.one_of(st.none(), masks)),
-        prefer_inner=data.draw(masks),
-        seed=data.draw(st.integers(0, 2 ** 64 - 1)),
         node_budget=data.draw(st.one_of(st.none(), st.integers(0, 40))),
         min_inner=data.draw(st.integers(0, max_inner)))
-    assert connect(g, req) == eager_connect(g, req)
-    # a stage's own table, ties included, overrides req.seed
+    preferred = data.draw(masks)
+    # a drawn stage table, and one with few values so keys tie; lowered
+    # keys must put the preferred vertices first, as the oracle's sort does
+    keys = table(n, data.draw(st.integers(0, 2 ** 64 - 1)))
+    assert (connect(g, req, lowered(keys, preferred))
+            == eager_connect(g, req, keys, preferred))
     keys = data.draw(st.lists(st.integers(0, 3) | st.integers(0, 2 ** 64 - 1),
                               min_size=n, max_size=n))
-    assert connect(g, req, keys) == eager_connect(g, req, keys)
+    assert (connect(g, req, lowered(keys, preferred))
+            == eager_connect(g, req, keys, preferred))
+
+
+def _path_and_cliques():
+    """gnp(40, 3/4, 1), an absorbing path at k=2 on it and four disjoint
+    4-cliques off the path: the closing joint absorbs its rest, so the
+    cycle closes on a real absorbing path."""
+    g = gnp(40, Fraction(3, 4), 1)
+    family, _ = absorber.sample_family(g, 2, hamiltonian.ZETA, Fraction(1),
+                                       seed=0, max_members=4)
+    pa = absorber.build_absorbing_path(g, 2, family, seed=0)
+    cliques, taken = [], pa.path.mask
+    for c in list_cliques(g, 4):
+        if not mask_of(c) & taken:
+            cliques.append(c)
+            taken |= mask_of(c)
+    return g, pa, cliques[:4]
 
 
 def test_each_stage_draws_one_key_table(monkeypatch):
@@ -222,22 +255,11 @@ def test_each_stage_draws_one_key_table(monkeypatch):
         draws.append(count)
         return words(rng, count)
 
-    def spy_connect(g, req, keys=None):
+    def spy_connect(g, req, keys):
         tables.append(keys)
         return connect(g, req, keys)
 
-    g = gnp(40, Fraction(3, 4), 1)
-    # the closing joint absorbs its rest, so the cycle closes on a real
-    # absorbing path; the cliques avoid it
-    family, _ = absorber.sample_family(g, 2, hamiltonian.ZETA, Fraction(1),
-                                       seed=0, max_members=4)
-    pa = absorber.build_absorbing_path(g, 2, family, seed=0)
-    cliques, taken = [], pa.path.mask
-    for c in list_cliques(g, 4):
-        if not mask_of(c) & taken:
-            cliques.append(c)
-            taken |= mask_of(c)
-    head, *pieces = cliques[:4]
+    g, pa, (head, *pieces) = _path_and_cliques()
     monkeypatch.setattr(SplitMix64, "words", spy_words)
     monkeypatch.setattr(absorber, "connect", spy_connect)
     monkeypatch.setattr(hamiltonian, "connect", spy_connect)
@@ -256,24 +278,40 @@ def test_each_stage_draws_one_key_table(monkeypatch):
     assert draws == [g.n] and len(tables) >= 2
     assert all(t is tables[0] for t in tables)
 
-    # a call handed no table draws its own from req.seed
-    draws.clear()
-    connect(g, ConnectRequest(head[:2], pieces[0][:2], k=2, max_inner=4))
-    assert draws == [g.n]
+
+def test_close_cycle_lowers_preferred_keys_once(monkeypatch):
+    # every connect call gets one table: the stage's draw with exactly the
+    # preferred keys lowered by 2**64, preferred vertices off the pool too
+    tables = []
+
+    def spy_connect(g, req, keys):
+        tables.append(keys)
+        return connect(g, req, keys)
+
+    g, pa, (piece, *_) = _path_and_cliques()
+    cover = SimpleNamespace(paths=[KPath(2, piece)], leftover=())
+    reservoir = g.full_mask() & ~pa.path.mask & ~mask_of(piece)
+    prefer = (mask_of(verts_of(reservoir)[::2]) | 1 << pa.path.vertices[0]
+              | 1 << piece[0])
+    monkeypatch.setattr(hamiltonian, "connect", spy_connect)
+    stage, order = hamiltonian._close_cycle(g, 2, pa, False, cover,
+                                            reservoir, 8, 7, prefer)
+    assert order is not None and len(tables) >= 2
+    assert all(t is tables[0] for t in tables)
+    assert list(tables[0]) == lowered(table(g.n, 7), prefer)
 
 
 # ------------------------------------------------------ recursive search
 
-def _same_search(g, req, m, limit, keys):
-    """Run ``_search``, its preferred keys lowered as ``connect`` lowers
-    them, and the recursive oracle on the drawn keys; assert the same
-    answer and the same nodes spent, return the answer."""
+def _same_search(g, req, m, limit, keys, preferred=0):
+    """Run ``_search`` on the keys with the preferred ones lowered, and the
+    recursive oracle on the drawn keys and the preferred mask; assert the
+    same answer and the same nodes spent, return the answer."""
     pool, dock = _masks(g, req)
-    lift = req.prefer_inner & pool
-    table = [w - ((lift >> v & 1) << 64) for v, w in enumerate(keys)]
     budget, want_budget = _Budget(limit), Budget(limit)
-    got = _search(g, req, m, budget, table, pool, dock)
-    want = recursive_search(g, req, m, want_budget, keys, pool, dock)
+    got = _search(g, req, m, budget, lowered(keys, preferred), pool, dock)
+    want = recursive_search(g, req, m, want_budget, keys, pool, dock,
+                            preferred)
     assert got == want
     assert budget.left == want_budget.left
     return got
@@ -297,21 +335,19 @@ def test_search_matches_recursive_search(n, p, gseed, k, m, limit, ties,
     masks = st.integers(0, (1 << n) - 1)
     req = ConnectRequest(
         tuple(data.draw(st.permutations(x))), tuple(y), k=k, max_inner=5,
-        allowed_inner=data.draw(st.one_of(st.none(), masks)),
-        prefer_inner=data.draw(masks),
-        seed=data.draw(st.integers(0, 2 ** 64 - 1)))
+        allowed_inner=data.draw(st.one_of(st.none(), masks)))
     # a stage's key table: 64-bit words, or few values so keys tie
     top = 3 if ties else 2 ** 64 - 1
     keys = data.draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
-    _same_search(g, req, m, limit, keys)
+    _same_search(g, req, m, limit, keys, data.draw(masks))
 
 
 def test_search_budget_dies_mid_level():
     # found at the 5th node (the oracle's path and count): 4 nodes cut the
     # level short, 5 just do
     g = gnp(14, Fraction(1, 2), 0)
-    req = ConnectRequest((0, 2), (3, 4), k=2, max_inner=5, seed=3)
-    keys = SplitMix64(3).words(14)
+    req = ConnectRequest((0, 2), (3, 4), k=2, max_inner=5)
+    keys = table(14, 3)
     path = _same_search(g, req, 5, None, keys)
     assert path == (0, 2, 5, 13, 12, 9, 6, 3, 4)
     for limit in (2, 3, 4):

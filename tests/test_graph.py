@@ -179,7 +179,7 @@ def test_clique_counts_examples():
 def test_list_cliques_examples():
     assert len(list(list_cliques(Graph.complete(4), 2))) == 6
     g = gnp(10, 0.7, 1)
-    singles = list(list_cliques(g, 1, within={2, 5, 7}))
+    singles = list(list_cliques(g, 1, within=mask_of((2, 5, 7))))
     assert singles == [(2,), (5,), (7,)]
     g15 = gnp(15, 0.6, 3)
     assert list(list_cliques(g15, 3)) == oracles.oracle_cliques(g15, 3)
@@ -187,7 +187,7 @@ def test_list_cliques_examples():
 
 def test_list_cliques_within_restricts():
     g = Graph.complete(6)
-    inside = list(list_cliques(g, 2, within={1, 3, 4}))
+    inside = list(list_cliques(g, 2, within=mask_of((1, 3, 4))))
     assert inside == [(1, 3), (1, 4), (3, 4)]
 
 

@@ -473,6 +473,19 @@ def test_timings_cover_setup_and_every_attempt(monkeypatch):
                                "connect": 2 * rep.attempts}
 
 
+def test_a_failed_round_reports_no_stage_of_the_round_before():
+    # two K10s sharing vertex 0: at seed 0 the last attempt's first round
+    # fails to close the cycle and its second fails at the cover, so the
+    # report must not keep the first round's connect record
+    g = Graph.from_edges(19, list(combinations(range(10), 2))
+                         + list(combinations((0, *range(10, 19)), 2)))
+    rep = find_hamiltonian_power(g, PipelineConfig(k=1, seed=0,
+                                                   retries=2)).report
+    assert rep.failed_stage == "cover"
+    assert rep.stages["reservoir"]["rounds"] == 2
+    assert list(rep.stages) == ["absorbing_path", "reservoir", "cover"]
+
+
 def test_close_cycle_docks_a_cover_path_reversed():
     # on the 6-cycle 0-1-2-5-4-3 only the reversed cover path docks onto
     # the head's end 2, and its far end 3 then closes back to 0
