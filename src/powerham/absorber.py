@@ -36,6 +36,7 @@ from .rng import DEFAULT_SEED, SplitMix64
 PER_VERTEX_CAP = 8
 GROW_TRIES = 4           # grow attempts a vertex gets per admission turn
 MAX_INNER = 12           # inner-vertex ceiling of each absorbing-path join
+JOIN_NODE_BUDGET = 100_000   # DFS nodes each join may spend
 
 
 @dataclass(frozen=True)
@@ -223,12 +224,13 @@ def _validate(g: Graph, k: int, family: tuple[VAbsorber, ...]) -> None:
 
 
 def join_chain(g: Graph, k: int, verts: Iterable[int],
-               pieces: list[tuple[int, ...]], seed: int, max_inner: int,
-               node_budget: int | None) -> tuple[list[int], list[int]]:
+               pieces: list[tuple[int, ...]], seed: int, max_inner: int
+               ) -> tuple[list[int], list[int]]:
     """Append each piece to the k-path ``verts``, one ``connect`` per join.
 
-    A join runs from the path's last k vertices to the piece's first k;
-    its inner vertices avoid everything placed or pending, so pieces stay
+    A join runs from the path's last k vertices to the piece's first k,
+    within max_inner inner vertices and ``JOIN_NODE_BUDGET`` DFS nodes; its
+    inner vertices avoid everything placed or pending, so pieces stay
     contiguous.  Every join breaks ties by one key table drawn from seed.
     Returns the vertices and each piece's start; the first failed join
     raises AssemblyError naming both end tuples.
@@ -239,9 +241,9 @@ def join_chain(g: Graph, k: int, verts: Iterable[int],
     starts = []
     for piece in pieces:
         x_end, y_end = tuple(verts[-k:]), tuple(piece[:k])
-        link = connect(g, ConnectRequest(
-            x_end, y_end, k, max_inner, allowed_inner=g.full_mask() & ~blocked,
-            node_budget=node_budget), keys)
+        req = ConnectRequest(g, x_end, y_end, g.full_mask() & ~blocked,
+                             JOIN_NODE_BUDGET)
+        link = connect(req, keys, 0, max_inner)
         if link is None:
             raise AssemblyError(f"cannot join {x_end} to {y_end}")
         verts.extend(link.vertices[k:-k])
@@ -252,8 +254,7 @@ def join_chain(g: Graph, k: int, verts: Iterable[int],
 
 
 def build_absorbing_path(g: Graph, k: int, family: tuple[VAbsorber, ...],
-                         seed: int = DEFAULT_SEED,
-                         node_budget: int | None = None) -> AbsorbingPath:
+                         seed: int = DEFAULT_SEED) -> AbsorbingPath:
     """Join all family members into a single k-path, in owner order.
 
     The family must be non-empty, sampled for this k, and made of pairwise
@@ -262,8 +263,8 @@ def build_absorbing_path(g: Graph, k: int, family: tuple[VAbsorber, ...],
     nothing here depends on them, and a weak half only fails a join.
     Members are visited ascending by the vertex they were sampled for and
     chained by :func:`join_chain`, each join running from the y-half of the
-    previous segment to the x-half of the next, at most ``MAX_INNER``
-    inner vertices long.  A failed join raises AssemblyError; a result that
+    previous segment to the x-half of the next under ``MAX_INNER`` and
+    ``JOIN_NODE_BUDGET``.  A failed join raises AssemblyError; a result that
     is not a k-path raises PowerhamError (an internal fault).  Each
     segment's host mask is computed here, once.
     """
@@ -273,7 +274,7 @@ def build_absorbing_path(g: Graph, k: int, family: tuple[VAbsorber, ...],
     members = [family[i] for i in order]
     verts, starts = join_chain(g, k, members[0].clique,
                                [ab.clique for ab in members[1:]], seed,
-                               MAX_INNER, node_budget)
+                               MAX_INNER)
     path = KPath(k, tuple(verts))
     if not is_valid_kpath(g, path):
         # valid by construction: a miss is a bug, not a reason to retry

@@ -419,12 +419,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dense", metavar="D")
     p.add_argument("--insep", action="store_true")
     p.add_argument("--robust", metavar="RHO,D")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true")
-    mode.add_argument("--heuristic", dest="exact", action="store_false")
+    p.add_argument("--exact", action="store_true")
     p.add_argument("--budget", type=int, default=HEURISTIC_BUDGET)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_check, exact=False)
+    p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("find", help="run the staged pipeline search")
     p.add_argument("input", nargs="?", default="-")

@@ -11,13 +11,13 @@ is a level with more inner vertices than the pool holds), and every inner
 vertex must see the prefix of the target it lies within k of, so every leaf
 the search reaches docks.  Ties break by ``keys[v]`` alone: the calling
 stage draws one table for all its calls and lowers the keys of any vertex
-it wants routed first.
+it wants routed first.  A request holds one joint's ends, pool and node
+budget and is checked once, when built; each call names its levels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import inf
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from powerham.errors import InputError
@@ -27,31 +27,30 @@ from powerham.pathcover import KPath
 
 @dataclass(frozen=True)
 class ConnectRequest:
+    """Ordered end cliques of ``g``, the inner vertices' mask and one call's
+    DFS node budget; InputError when built with empty, unequal or
+    overlapping ends, ends that are not cliques, or a negative budget."""
+    g: Graph = field(compare=False, repr=False)
     x_end: tuple[int, ...]
     y_end: tuple[int, ...]
-    k: int
-    max_inner: int
-    allowed_inner: Optional[int] = None   # vertex mask; None = anywhere
-    node_budget: Optional[int] = None     # None = exhaustive
-    min_inner: int = 0                    # skip connections shorter than this
+    allowed_inner: int   # vertex mask
+    node_budget: int     # DFS nodes, shared by the levels of one call
 
-    def _validate(self, g: Graph) -> None:
-        if self.k < 1 or len(self.x_end) != self.k or len(self.y_end) != self.k:
-            raise InputError("ends must be ordered k-tuples")
-        xm, ym = mask_of(self.x_end), mask_of(self.y_end)
-        if xm & ym:
+    def __post_init__(self) -> None:
+        if not self.x_end or len(self.x_end) != len(self.y_end):
+            raise InputError("ends must be non-empty tuples of one length")
+        if mask_of(self.x_end) & mask_of(self.y_end):
             raise InputError("ends must be disjoint")
-        if not is_clique(g, self.x_end) or not is_clique(g, self.y_end):
+        if not (is_clique(self.g, self.x_end)
+                and is_clique(self.g, self.y_end)):
             raise InputError("ends must span cliques")
-        if self.max_inner < 0:
-            raise InputError("max_inner must be >= 0")
-        if not 0 <= self.min_inner <= self.max_inner:
-            raise InputError("min_inner must lie in [0, max_inner]")
+        if self.node_budget < 0:
+            raise InputError("node_budget must be >= 0")
 
 
 @dataclass
 class _Budget:
-    left: Optional[int]   # DFS nodes left; None = unbounded
+    left: int   # DFS nodes left
 
 
 def _search(g: Graph, req: ConnectRequest, m: int, budget: _Budget,
@@ -64,7 +63,7 @@ def _search(g: Graph, req: ConnectRequest, m: int, budget: _Budget,
     one unit of ``budget.left`` each, written back once.  Candidates go by
     ascending ``keys[v]``.
     """
-    k, adj, y_end = req.k, g.adj, req.y_end
+    k, adj, y_end = len(req.x_end), g.adj, req.y_end
     # x_end[t] and y_end[i] lie within distance k iff t >= m + i; no inner
     # vertex changes these pairs, so one non-edge refutes the whole level
     if any(not adj[y_end[i]] >> req.x_end[t] & 1
@@ -74,7 +73,7 @@ def _search(g: Graph, req: ConnectRequest, m: int, budget: _Budget,
         return None
     if not m:
         return (*req.x_end, *y_end)
-    left = inf if budget.left is None else budget.left - 1   # pay for the root
+    left = budget.left - 1   # pay for the root
     if left < 0:
         return None
     seq = list(req.x_end) + [0] * m
@@ -111,33 +110,34 @@ def _search(g: Graph, req: ConnectRequest, m: int, budget: _Budget,
     win = pool & docks[1] & common_neighborhood_mask(g, req.x_end)
     got = rec(1, pool, win) if win else None
     del rec   # rec's closure holds rec: free the cycle now, not at a GC pass
-    budget.left = None if left == inf else left
+    budget.left = left
     return got
 
 
 def _masks(g: Graph, req: ConnectRequest) -> tuple[int, list[int]]:
     """(pool, dock) for ``_search``: the vertices an inner vertex may take,
     and dock[j] = the AND of the first j target rows (dock[0] = V)."""
-    pool = g.full_mask() & ~(mask_of(req.x_end) | mask_of(req.y_end))
-    if req.allowed_inner is not None:
-        pool &= req.allowed_inner
+    pool = (g.full_mask() & req.allowed_inner
+            & ~(mask_of(req.x_end) | mask_of(req.y_end)))
     dock = [g.full_mask()]
     for y in req.y_end:
         dock.append(dock[-1] & g.adj[y])
     return pool, dock
 
 
-def connect(g: Graph, req: ConnectRequest,
-            keys: Sequence[int]) -> Optional[KPath]:
-    """Shortest-inner-count connection between the two ordered ends; ties
-    break by ascending ``keys[v]``, the calling stage's table."""
-    req._validate(g)
+def connect(req: ConnectRequest, keys: Sequence[int], min_inner: int,
+            max_inner: int) -> Optional[KPath]:
+    """Shortest connection between the request's ends with min_inner to
+    max_inner inner vertices, or None; one node budget serves every level.
+    Ties break by ascending ``keys[v]``, the calling stage's table."""
+    if not 0 <= min_inner <= max_inner:
+        raise InputError("levels must satisfy 0 <= min_inner <= max_inner")
     budget = _Budget(req.node_budget)
-    pool, dock = _masks(g, req)
-    for m in range(req.min_inner, req.max_inner + 1):
-        got = _search(g, req, m, budget, keys, pool, dock)
+    pool, dock = _masks(req.g, req)
+    for m in range(min_inner, max_inner + 1):
+        got = _search(req.g, req, m, budget, keys, pool, dock)
         if got is not None:
-            return KPath(req.k, got)
-        if budget.left is not None and budget.left <= 0:
+            return KPath(len(req.x_end), got)
+        if budget.left <= 0:
             return None
     return None

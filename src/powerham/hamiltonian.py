@@ -34,8 +34,7 @@ STAGES = ("obstruction", "absorbing_path", "reservoir", "cover", "connect",
 ORACLE_CAP = 14
 MAX_HITTING_SETS = 64
 MAX_INNER_CAP = 24
-# node budgets keep the exact searches from stalling on adversarial pools
-ASSEMBLY_NODE_BUDGET = 100_000
+# keeps each closing search from stalling on an adversarial pool
 CONNECT_NODE_BUDGET = 200_000
 # a connectable k-tuple has at least ceil(ZETA * n) common neighbours
 ZETA = Fraction(1, 25)
@@ -242,16 +241,9 @@ class PipelineResult:
         return self.certificate is not None
 
 
-class _StageFailure(Exception):
-    def __init__(self, stage: str, stages: dict):
-        super().__init__(stage)
-        self.stage = stage
-        self.stages = stages
-
-
 @contextmanager
 def _timed(timings: dict, name: str):
-    """Add the block's wall time to ``timings[name]``, also when it raises."""
+    """Add the block's wall time to ``timings[name]``, however it exits."""
     t0 = time.perf_counter()
     try:
         yield
@@ -290,11 +282,13 @@ def _close_cycle(g: Graph, k: int, pa, reverse: bool, cover, reservoir: int,
     the cycle back to the head.  Each ladder starts at half the pool left
     to its joint, capped at max_inner: at the closing joint ``absorb`` is
     the only other taker, and a closure counts only if ``absorb`` takes
-    every pool vertex it leaves.  Every request breaks ties by one key
-    table drawn from seed, in which the ``prefer`` vertices' keys are
-    lowered by 2**64 so that they are routed first.  Returns the stage
-    record and the cycle's vertex order, the absorbed path first (reversed
-    with the head), or None for the order when a joint failed.
+    every pool vertex it leaves.  A joint builds one request per option,
+    with its pool and ``CONNECT_NODE_BUDGET``, and connects one level a
+    call.  Every call breaks ties by one key table drawn from seed, in
+    which the ``prefer`` vertices' keys are lowered by 2**64 so that they
+    are routed first.  Returns the stage record and the cycle's vertex
+    order, the absorbed path first (reversed with the head), or None for
+    the order when a joint failed.
     """
     head = KPath(k, pa.path.vertices[::-1]) if reverse else pa.path
     pool = reservoir | mask_of(cover.leftover)
@@ -312,14 +306,12 @@ def _close_cycle(g: Graph, k: int, pa, reverse: bool, cover, reservoir: int,
         target = min(ceil(pool.bit_count() / 2), max_inner)
         ladder = list(range(target, -1, -1))
         ladder += list(range(target + 1, max_inner + 1))
+        reqs = [ConnectRequest(g, cur.y_end, cand.x_end, pool,
+                               CONNECT_NODE_BUDGET) for cand in options]
         found = None
         for t in ladder:
-            for cand in options:
-                req = ConnectRequest(x_end=cur.y_end, y_end=cand.x_end, k=k,
-                                     max_inner=t, min_inner=t,
-                                     allowed_inner=pool,
-                                     node_budget=CONNECT_NODE_BUDGET)
-                piece = connect(g, req, keys)
+            for cand, req in zip(options, reqs):
+                piece = connect(req, keys, t, t)
                 if piece is None:
                     continue
                 if closing:
@@ -380,7 +372,7 @@ def _stitch_hitting_cliques(g: Graph, k: int, pa,
         chosen.append(pick)
         taken |= mask_of(pick)
     verts, _ = join_chain(g, k, pa.path.vertices, chosen, hrng.next_u64(),
-                          max_inner, ASSEMBLY_NODE_BUDGET)
+                          max_inner)
     return replace(pa, path=KPath(k, tuple(verts)))
 
 
@@ -397,7 +389,8 @@ def _certify(g: Graph, k: int, order: tuple[int, ...]) -> Certificate:
 def _attempt(g: Graph, cfg: PipelineConfig, seed: int, max_inner: int,
              timings: dict,
              hitting: Optional[list[list[tuple[int, ...]]]] = None):
-    """One full pass over the five stages; raises _StageFailure to retry.
+    """One full pass over the five stages: ``(certificate, None, stages)``,
+    or ``(None, the stage that gave up, stages)`` to retry.
 
     Each stage's wall time is added to ``timings`` under its name.
     """
@@ -417,16 +410,15 @@ def _attempt(g: Graph, cfg: PipelineConfig, seed: int, max_inner: int,
                                        max_members=_family_target(n, k))
         stages["absorbing_path"] = {"members": len(family), "seed": s_family}
         if len(family) < 2:
-            raise _StageFailure("absorbing_path", stages)
+            return None, "absorbing_path", stages
         try:
-            pa = build_absorbing_path(g, k, family, seed=s_build,
-                                      node_budget=ASSEMBLY_NODE_BUDGET)
+            pa = build_absorbing_path(g, k, family, seed=s_build)
             if hitting is not None:
                 pa = _stitch_hitting_cliques(g, k, pa, hitting, s_stitch,
                                              max_inner)
                 stages["absorbing_path"]["stitched"] = len(hitting)
         except AssemblyError:
-            raise _StageFailure("absorbing_path", stages)
+            return None, "absorbing_path", stages
         capacity = k * len(family)   # each segment hosts up to a k-clique
         stages["absorbing_path"].update(path_length=len(pa.path),
                                         capacity=capacity)
@@ -470,7 +462,7 @@ def _attempt(g: Graph, cfg: PipelineConfig, seed: int, max_inner: int,
                                "leftover": len(cover.leftover),
                                "stop_size": round_stop, "seed": cover_seed}
             if not cover.reached_stop:
-                raise _StageFailure("cover", stages)
+                return None, "cover", stages
 
         with _timed(timings, "connect"):
             for reverse in (False, True):
@@ -492,8 +484,8 @@ def _attempt(g: Graph, cfg: PipelineConfig, seed: int, max_inner: int,
             stages["absorb"] = {"absorbed": reservoir.bit_count()
                                 + len(cover.leftover) - stage["inner_total"],
                                 "capacity": capacity}
-            return _certify(g, k, order), stages
-    raise _StageFailure("connect", stages)
+            return _certify(g, k, order), None, stages
+    return None, "connect", stages
 
 
 def _run_pipeline(g: Graph, cfg: PipelineConfig,
@@ -556,15 +548,11 @@ def _run_pipeline(g: Graph, cfg: PipelineConfig,
 
     # each attempt draws its seed as it starts: retries allocate nothing
     arng = SplitMix64(cfg.seed)
-    cert = None
     for attempt in range(1, cfg.retries + 2):
-        try:
-            cert, stages = _attempt(g, cfg, arng.next_u64(), max_inner,
-                                    timings, hitting)
-            failed = None
+        cert, failed, stages = _attempt(g, cfg, arng.next_u64(), max_inner,
+                                        timings, hitting)
+        if cert is not None:
             break
-        except _StageFailure as f:
-            failed, stages = f.stage, f.stages
     report = StageReport(n, k, attempt, failed, stages, timings)
     return PipelineResult(cert, report)
 

@@ -237,27 +237,27 @@ def first_asymmetric_pair(rows):
     return None
 
 
-def eager_connect(g, req, keys, preferred):
+def eager_connect(req, keys, min_inner, max_inner, preferred):
     """``connect`` as iterative deepening over ``recursive_search``.
 
     Same contract: levels ``min_inner`` up to ``max_inner``, one node budget
     shared by all of them, ties by ``(not preferred, keys[v])`` with
     ``keys`` the stage's table as drawn and ``preferred`` a vertex mask.
-    It runs ``ConnectRequest._validate`` and ``connector._masks`` from the
-    code under test; it checks the levels, the budget and the order, not
-    those.
+    It takes a request the code under test has checked and runs
+    ``connector._masks`` from it; it checks the levels, the budget and the
+    order, not those.
     """
     from powerham.connector import _masks
     from powerham.pathcover import KPath
 
-    req._validate(g)
     budget = Budget(req.node_budget)
-    pool, dock = _masks(g, req)
-    for m in range(req.min_inner, req.max_inner + 1):
-        got = recursive_search(g, req, m, budget, keys, pool, dock, preferred)
+    pool, dock = _masks(req.g, req)
+    for m in range(min_inner, max_inner + 1):
+        got = recursive_search(req.g, req, m, budget, keys, pool, dock,
+                               preferred)
         if got is not None:
-            return KPath(req.k, got)
-        if budget.left is not None and budget.left <= 0:
+            return KPath(len(req.x_end), got)
+        if budget.left <= 0:
             return None
     return None
 
@@ -271,8 +271,6 @@ class Budget:
         self.left = limit
 
     def spend(self) -> bool:
-        if self.left is None:
-            return True
         if self.left <= 0:
             return False
         self.left -= 1
@@ -291,7 +289,7 @@ def recursive_search(g, req, m, budget, keys, pool, dock, preferred):
     """
     from powerham.graph import verts_of
 
-    k = req.k
+    k = len(req.x_end)
     adj = g.adj
     # x_end[t] and y_end[i] lie within distance k iff t >= m + i; no inner
     # vertex changes these pairs, so one non-edge refutes the whole level

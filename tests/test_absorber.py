@@ -295,7 +295,7 @@ def test_join_chain_places_pieces_verbatim(n, p, k, shape, gseed, seed,
             pieces.append(cl)
             taken |= mask_of(cl)
     try:
-        out, starts = join_chain(g, k, verts, pieces, seed, max_inner, None)
+        out, starts = join_chain(g, k, verts, pieces, seed, max_inner)
     except AssemblyError as err:
         x_end, y_end = (ast.literal_eval(t) for t in re.fullmatch(
             r"cannot join (\(.*?\)) to (\(.*?\))", str(err)).groups())

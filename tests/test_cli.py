@@ -130,6 +130,12 @@ def test_check_requires_a_property(tmp_path, capsys):
     assert captured.out == "" and "budget" in captured.err
 
 
+def test_check_has_no_heuristic_flag(tmp_path):
+    # the heuristic is what check runs without --exact; no flag names it
+    path = graph_file(tmp_path, Graph.complete(5))
+    assert run(["check", path, "--insep", "--heuristic"]) == 2
+
+
 def test_check_heuristic_budget_runs(tmp_path, capsys):
     path = graph_file(tmp_path, gnp(30, Fraction(3, 4), 0))
     code, out = run_json(capsys, ["check", path, "--dense", "3/4",
