@@ -12,7 +12,8 @@ vertex must see the prefix of the target it lies within k of, so every leaf
 the search reaches docks.  Ties break by ``keys[v]`` alone: the calling
 stage draws one table for all its calls and lowers the keys of any vertex
 it wants routed first.  A request holds one joint's ends, pool and node
-budget and is checked once, when built; each call names its levels.
+budget; it is checked, and its pool and dock rows are computed, once, when
+built; each call names its levels.
 """
 
 from __future__ import annotations
@@ -29,12 +30,17 @@ from powerham.pathcover import KPath
 class ConnectRequest:
     """Ordered end cliques of ``g``, the inner vertices' mask and one call's
     DFS node budget; InputError when built with empty, unequal or
-    overlapping ends, ends that are not cliques, or a negative budget."""
+    overlapping ends, ends that are not cliques, or a negative budget.
+    Building it also derives ``pool``, the vertices an inner vertex may
+    take, and ``dock``, where dock[j] is the AND of the first j target
+    rows (dock[0] = V)."""
     g: Graph = field(compare=False, repr=False)
     x_end: tuple[int, ...]
     y_end: tuple[int, ...]
     allowed_inner: int   # vertex mask
     node_budget: int     # DFS nodes, shared by the levels of one call
+    pool: int = field(init=False, compare=False, repr=False)
+    dock: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.x_end or len(self.x_end) != len(self.y_end):
@@ -46,6 +52,13 @@ class ConnectRequest:
             raise InputError("ends must span cliques")
         if self.node_budget < 0:
             raise InputError("node_budget must be >= 0")
+        full = self.g.full_mask()
+        dock = [full]
+        for y in self.y_end:
+            dock.append(dock[-1] & self.g.adj[y])
+        object.__setattr__(self, "pool", full & self.allowed_inner & ~(
+            mask_of(self.x_end) | mask_of(self.y_end)))
+        object.__setattr__(self, "dock", tuple(dock))
 
 
 @dataclass
@@ -54,8 +67,7 @@ class _Budget:
 
 
 def _search(g: Graph, req: ConnectRequest, m: int, budget: _Budget,
-            keys: Sequence[int], pool: int, dock: list[int]
-            ) -> Optional[tuple[int, ...]]:
+            keys: Sequence[int]) -> Optional[tuple[int, ...]]:
     """DFS for a connection with exactly m inner vertices.
 
     Returns a vertex tuple, or None once the space or the budget is spent.
@@ -63,7 +75,7 @@ def _search(g: Graph, req: ConnectRequest, m: int, budget: _Budget,
     one unit of ``budget.left`` each, written back once.  Candidates go by
     ascending ``keys[v]``.
     """
-    k, adj, y_end = len(req.x_end), g.adj, req.y_end
+    k, adj, y_end, pool = len(req.x_end), g.adj, req.y_end, req.pool
     # x_end[t] and y_end[i] lie within distance k iff t >= m + i; no inner
     # vertex changes these pairs, so one non-edge refutes the whole level
     if any(not adj[y_end[i]] >> req.x_end[t] & 1
@@ -78,7 +90,7 @@ def _search(g: Graph, req: ConnectRequest, m: int, budget: _Budget,
         return None
     seq = list(req.x_end) + [0] * m
     # inner vertex i (from 1) must see y_end[:i + k - m] (dock[0] = V)
-    docks = [dock[min(max(i + k - m, 0), k)] for i in range(m + 1)]
+    docks = [req.dock[min(max(i + k - m, 0), k)] for i in range(m + 1)]
 
     def rec(i: int, free: int, win: int) -> Optional[tuple[int, ...]]:
         # a paid node, candidates win != 0; a child with none is not entered
@@ -114,17 +126,6 @@ def _search(g: Graph, req: ConnectRequest, m: int, budget: _Budget,
     return got
 
 
-def _masks(g: Graph, req: ConnectRequest) -> tuple[int, list[int]]:
-    """(pool, dock) for ``_search``: the vertices an inner vertex may take,
-    and dock[j] = the AND of the first j target rows (dock[0] = V)."""
-    pool = (g.full_mask() & req.allowed_inner
-            & ~(mask_of(req.x_end) | mask_of(req.y_end)))
-    dock = [g.full_mask()]
-    for y in req.y_end:
-        dock.append(dock[-1] & g.adj[y])
-    return pool, dock
-
-
 def connect(req: ConnectRequest, keys: Sequence[int], min_inner: int,
             max_inner: int) -> Optional[KPath]:
     """Shortest connection between the request's ends with min_inner to
@@ -133,9 +134,8 @@ def connect(req: ConnectRequest, keys: Sequence[int], min_inner: int,
     if not 0 <= min_inner <= max_inner:
         raise InputError("levels must satisfy 0 <= min_inner <= max_inner")
     budget = _Budget(req.node_budget)
-    pool, dock = _masks(req.g, req)
     for m in range(min_inner, max_inner + 1):
-        got = _search(req.g, req, m, budget, keys, pool, dock)
+        got = _search(req.g, req, m, budget, keys)
         if got is not None:
             return KPath(len(req.x_end), got)
         if budget.left <= 0:

@@ -272,7 +272,7 @@ def _practical_max_inner(mu: Fraction, k: int) -> int:
 
 
 def _close_cycle(g: Graph, k: int, pa, reverse: bool, cover, reservoir: int,
-                 max_inner: int, seed: int, prefer: int = 0):
+                 max_inner: int, seed: int):
     """Join the absorbing path and the cover path into one cycle, routing
     through the pool: the reservoir plus the cover's leftover.
 
@@ -282,18 +282,23 @@ def _close_cycle(g: Graph, k: int, pa, reverse: bool, cover, reservoir: int,
     the cycle back to the head.  Each ladder starts at half the pool left
     to its joint, capped at max_inner: at the closing joint ``absorb`` is
     the only other taker, and a closure counts only if ``absorb`` takes
-    every pool vertex it leaves.  A joint builds one request per option,
-    with its pool and ``CONNECT_NODE_BUDGET``, and connects one level a
-    call.  Every call breaks ties by one key table drawn from seed, in
-    which the ``prefer`` vertices' keys are lowered by 2**64 so that they
-    are routed first.  Returns the stage record and the cycle's vertex
-    order, the absorbed path first (reversed with the head), or None for
-    the order when a joint failed.
+    every pool vertex it leaves.  It refuses any rest that holds a
+    stranded vertex, a pool vertex outside ``pa.hostable``, so the closing
+    ladder drops every level below their count, and a closure that leaves
+    one behind is refused by a mask test, with no ``absorb`` call.  A
+    joint builds one request per option, with its pool and
+    ``CONNECT_NODE_BUDGET``, and connects one level a call.  Every call
+    breaks ties by one key table drawn from seed, in which the stranded
+    vertices' keys are lowered by 2**64 so that they are routed first.
+    Returns the stage record and the cycle's vertex order, the absorbed
+    path first (reversed with the head), or None for the order when a
+    joint failed.
     """
     head = KPath(k, pa.path.vertices[::-1]) if reverse else pa.path
     pool = reservoir | mask_of(cover.leftover)
+    hostable = pa.hostable
     keys = list(SplitMix64(seed).words(g.n))
-    for v in verts_of(prefer):
+    for v in verts_of(pool & ~hostable):
         keys[v] -= 1 << 64
     steps = [(p, KPath(k, p.vertices[::-1])) for p in cover.paths]
     steps.append((head,))
@@ -303,9 +308,11 @@ def _close_cycle(g: Graph, k: int, pa, reverse: bool, cover, reservoir: int,
     cur = head
     for j, options in enumerate(steps):
         closing = j == joints - 1
+        stranded = pool & ~hostable if closing else 0
         target = min(ceil(pool.bit_count() / 2), max_inner)
-        ladder = list(range(target, -1, -1))
-        ladder += list(range(target + 1, max_inner + 1))
+        ladder = [t for t in (*range(target, -1, -1),
+                              *range(target + 1, max_inner + 1))
+                  if t >= stranded.bit_count()]
         reqs = [ConnectRequest(g, cur.y_end, cand.x_end, pool,
                                CONNECT_NODE_BUDGET) for cand in options]
         found = None
@@ -316,9 +323,11 @@ def _close_cycle(g: Graph, k: int, pa, reverse: bool, cover, reservoir: int,
                     continue
                 if closing:
                     # keep a closure only if its rest absorbs
+                    rest = pool & ~mask_of(piece.vertices[k:-k])
+                    if rest & stranded:
+                        continue
                     try:
-                        absorbed = absorb(g, pa, verts_of(
-                            pool & ~mask_of(piece.vertices[k:-k])))
+                        absorbed = absorb(g, pa, verts_of(rest))
                     except CapacityError:
                         continue
                 found = (cand, piece)
@@ -422,8 +431,8 @@ def _attempt(g: Graph, cfg: PipelineConfig, seed: int, max_inner: int,
         capacity = k * len(family)   # each segment hosts up to a k-clique
         stages["absorbing_path"].update(path_length=len(pa.path),
                                         capacity=capacity)
-        # vertices no segment can host must leave the pool by routing,
-        # so the connection search is told to spend them first
+        # vertices no segment can host must leave by a path or a route,
+        # so the cover runs in round 2 if any is left off the path
         incompat = g.full_mask() & ~pa.path.mask & ~pa.hostable
 
     # -- stages 2-5, with one reservoir resample allowed: when the cycle
@@ -468,7 +477,7 @@ def _attempt(g: Graph, cfg: PipelineConfig, seed: int, max_inner: int,
             for reverse in (False, True):
                 stage, order = _close_cycle(
                     g, k, pa, reverse, cover, reservoir, max_inner,
-                    xseed.next_u64(), incompat)
+                    xseed.next_u64())
                 if order is not None:
                     break
             stages["connect"] = stage

@@ -243,18 +243,16 @@ def eager_connect(req, keys, min_inner, max_inner, preferred):
     Same contract: levels ``min_inner`` up to ``max_inner``, one node budget
     shared by all of them, ties by ``(not preferred, keys[v])`` with
     ``keys`` the stage's table as drawn and ``preferred`` a vertex mask.
-    It takes a request the code under test has checked and runs
-    ``connector._masks`` from it; it checks the levels, the budget and the
-    order, not those.
+    It takes a request the code under test has checked and reads the
+    pool and dock rows the request computed when built; it checks the
+    levels, the budget and the order, not those.
     """
-    from powerham.connector import _masks
     from powerham.pathcover import KPath
 
     budget = Budget(req.node_budget)
-    pool, dock = _masks(req.g, req)
     for m in range(min_inner, max_inner + 1):
-        got = recursive_search(req.g, req, m, budget, keys, pool, dock,
-                               preferred)
+        got = recursive_search(req.g, req, m, budget, keys, req.pool,
+                               req.dock, preferred)
         if got is not None:
             return KPath(len(req.x_end), got)
         if budget.left <= 0:

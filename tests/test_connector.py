@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 import powerham.absorber as absorber
 import powerham.hamiltonian as hamiltonian
-from powerham.connector import (ConnectRequest, _Budget, _masks, _search,
-                                connect)
+from powerham.connector import ConnectRequest, _Budget, _search, connect
 from powerham.errors import InputError
 from powerham.generators import gnp
-from powerham.graph import Graph, list_cliques, mask_of, verts_of
+from powerham.graph import Graph, list_cliques, mask_of
 from powerham.pathcover import KPath, is_valid_kpath
 from powerham.rng import SplitMix64
 
@@ -145,6 +144,18 @@ def test_connect_input_errors():
         connect(req, keys, 3, 2)
 
 
+def test_request_derives_its_pool_and_dock_rows():
+    # pool: the allowed vertices off both ends; dock[j]: the vertices that
+    # see each of the target's first j vertices, computed when built
+    g = gnp(12, Fraction(1, 2), 3)
+    x, y = two_disjoint_cliques(g, 2)
+    req = request(g, x, y, mask_of(range(1, 12, 2)) | mask_of(x))
+    assert req.pool == mask_of(v for v in range(1, 12, 2) if v not in x + y)
+    assert req.dock == tuple(
+        mask_of(v for v in range(12) if all(g.has_edge(v, u) for u in y[:j]))
+        for j in range(3))
+
+
 def test_connect_determinism():
     g = gnp(30, Fraction(3, 4), 6)
     x, y = two_disjoint_cliques(g, 2)
@@ -186,7 +197,7 @@ def test_connect_complete_up_to_enumeration(seed, n, k, p, data):
         if any(not g.adj[y[i]] >> x[t] & 1
                for i in range(k) for t in range(m + i, k)):
             budget = _Budget(1)
-            assert _search(g, req, m, budget, keys, *_masks(g, req)) is None
+            assert _search(g, req, m, budget, keys) is None
             assert budget.left == 1
 
 
@@ -194,13 +205,12 @@ def test_level_longer_than_the_pool_spends_no_budget():
     # two allowed vertices cannot hold three inner ones: refuted at no cost
     g = Graph.complete(8)
     req = request(g, (0, 1), (2, 3), mask_of((4, 5)), budget=5)
-    pool, dock = _masks(g, req)
     budget, keys = _Budget(5), table(8)
-    assert _search(g, req, 3, budget, keys, pool, dock) is None
+    assert _search(g, req, 3, budget, keys) is None
     assert budget.left == 5
     assert connect(req, keys, 3, 3) is None
     budget = _Budget(5)
-    assert _search(g, req, 2, budget, keys, pool, dock) is not None
+    assert _search(g, req, 2, budget, keys) is not None
     assert budget.left < 5
 
 
@@ -289,7 +299,8 @@ def test_each_stage_draws_one_key_table(monkeypatch):
 
 def test_close_cycle_lowers_preferred_keys_once(monkeypatch):
     # every connect call gets one table: the stage's draw with exactly the
-    # preferred keys lowered by 2**64, preferred vertices off the pool too
+    # keys of the pool vertices no segment hosts lowered by 2**64; the
+    # unhostable vertices off the pool (on the piece here) keep theirs
     tables = []
 
     def spy_connect(req, keys, *levels):
@@ -299,14 +310,14 @@ def test_close_cycle_lowers_preferred_keys_once(monkeypatch):
     g, pa, (piece, *_) = _path_and_cliques()
     cover = SimpleNamespace(paths=[KPath(2, piece)], leftover=())
     reservoir = g.full_mask() & ~pa.path.mask & ~mask_of(piece)
-    prefer = (mask_of(verts_of(reservoir)[::2]) | 1 << pa.path.vertices[0]
-              | 1 << piece[0])
+    stranded = reservoir & ~pa.hostable
+    assert stranded and mask_of(piece) & ~pa.hostable
     monkeypatch.setattr(hamiltonian, "connect", spy_connect)
     stage, order = hamiltonian._close_cycle(g, 2, pa, False, cover,
-                                            reservoir, 8, 7, prefer)
+                                            reservoir, 8, 7)
     assert order is not None and len(tables) >= 2
     assert all(t is tables[0] for t in tables)
-    assert list(tables[0]) == lowered(table(g.n, 7), prefer)
+    assert list(tables[0]) == lowered(table(g.n, 7), stranded)
 
 
 def test_close_cycle_checks_one_request_per_option_per_joint(monkeypatch):
@@ -343,11 +354,10 @@ def _same_search(g, req, m, limit, keys, preferred=0):
     """Run ``_search`` on the keys with the preferred ones lowered, and the
     recursive oracle on the drawn keys and the preferred mask; assert the
     same answer and the same nodes spent, return the answer."""
-    pool, dock = _masks(g, req)
     budget, want_budget = _Budget(limit), Budget(limit)
-    got = _search(g, req, m, budget, lowered(keys, preferred), pool, dock)
-    want = recursive_search(g, req, m, want_budget, keys, pool, dock,
-                            preferred)
+    got = _search(g, req, m, budget, lowered(keys, preferred))
+    want = recursive_search(g, req, m, want_budget, keys, req.pool,
+                            req.dock, preferred)
     assert got == want
     assert budget.left == want_budget.left
     return got

@@ -547,26 +547,99 @@ def test_closing_joint_moves_past_a_rest_over_capacity(monkeypatch):
     assert is_valid_kpath(g, absorbed)
 
 
-def test_closing_joint_moves_past_a_closure_that_strands_a_vertex(
-        monkeypatch):
-    # vertex 12 misses one vertex of every segment, so no segment hosts it;
-    # the first closure (4 inner of 8) leaves it behind with a rest of 4,
-    # within the 4 segments' capacity, and only the 5-inner one routes it
-    calls = _spy_absorb(monkeypatch)
-    miss = {1, 3, 5, 6}
+def _stranding_chain():
+    """complete(16) in which 8, 12 and 9 keep only the chain 10-8-12-9-11,
+    and an absorbing path on 0..7 with four k=1 segments.  No segment
+    hosts 8, 9 or 12, and a closure through the pool 8..15 routes them
+    only along the chain, so with at least 5 inner vertices."""
+    chain = mask_of((8, 9, 12))
     g = Graph.from_edges(16, [e for e in combinations(range(16), 2)
-                              if not (12 in e and set(e) & miss)])
+                              if not mask_of(e) & chain]
+                         + [(8, 10), (8, 12), (9, 12), (9, 11)])
     pa = AbsorbingPath(KPath(1, tuple(range(8))), (0, 1, 2, 3),
                        (0, 2, 4, 6),
                        oracle_segment_hosts(g, range(8), 1, (0, 2, 4, 6)))
-    assert not pa.hostable >> 12 & 1
+    pool = mask_of(range(8, 16))
+    assert pa.hostable & pool == pool & ~chain
+    return g, pa, chain
+
+
+def test_closing_joint_moves_past_a_closure_that_strands_a_vertex(
+        monkeypatch):
+    # the first closure (4 inner of 8) leaves the chain behind with a rest
+    # of 4, within the 4 segments' capacity; it and every later closure
+    # that strands a chain vertex are refused with no absorb call, until
+    # one routes the whole chain
+    calls = _spy_absorb(monkeypatch)
+    found, connect = [], hamiltonian.connect
+
+    def spy_connect(req, keys, *levels):
+        found.append(connect(req, keys, *levels))
+        return found[-1]
+    monkeypatch.setattr(hamiltonian, "connect", spy_connect)
+    g, pa, chain = _stranding_chain()
     stage, order = _close_alone(g, pa, mask_of(range(8, 16)), 1)
     absorbed, inner = _split_closure(stage, order, 1)
-    first, ok = calls[0]
-    assert 12 in first and len(first) == 4 and not ok
-    assert calls[-1][1] and all(not ok for _, ok in calls[:-1])
-    assert 12 in inner and len(inner) == 5
+    first = found[0].vertices[1:-1]
+    assert len(first) == 4 and not mask_of(first) & chain
+    assert len(found) > 2 and found[-1].vertices[1:-1] == inner
+    assert [(len(xs), ok) for xs, ok in calls] == [(8 - len(inner), True)]
+    assert mask_of(inner) & chain == chain
     assert is_valid_kpath(g, absorbed)
+
+
+def test_closing_joint_stranding_more_than_max_inner_searches_nothing(
+        monkeypatch):
+    # three unhostable pool vertices and max_inner 2: every closure would
+    # strand one, so the joint fails with the record a full ladder of
+    # refused closures gives, without a search
+    calls = []
+    monkeypatch.setattr(hamiltonian, "connect",
+                        lambda *args: calls.append(args))
+    g, pa, _ = _stranding_chain()
+    cover = SimpleNamespace(paths=[], leftover=())
+    stage, order = hamiltonian._close_cycle(
+        g, 1, pa, False, cover, mask_of(range(8, 16)), 2, 1)
+    assert order is None and calls == []
+    assert stage == {"joints": 1, "failed_joint": 0, "pool": 8,
+                     "pieces_left": 0, "seed": 1}
+
+
+def test_closing_joint_searches_and_absorbs_no_stranding_closure(
+        monkeypatch):
+    # over 20 retry_k3-shaped finds, every closing-joint level is at least
+    # the count of the pool's unhostable vertices, and no rest handed to
+    # absorb holds one
+    heads, levels, rests = [], [], []
+    close, connect = hamiltonian._close_cycle, hamiltonian.connect
+    absorb = hamiltonian.absorb
+
+    def spy_close(g, k, pa, reverse, *rest):
+        head = pa.path.vertices[::-1] if reverse else pa.path.vertices
+        heads.append((pa, head[:k]))
+        return close(g, k, pa, reverse, *rest)
+
+    def spy_connect(req, keys, lo, hi):
+        pa, x_end = heads[-1]
+        if req.y_end == x_end:   # the closing joint docks onto the head
+            stranded = req.allowed_inner & ~pa.hostable
+            levels.append((lo, stranded.bit_count()))
+        return connect(req, keys, lo, hi)
+
+    def spy_absorb(g, pa, xs):
+        xs = list(xs)
+        rests.append(mask_of(xs) & ~pa.hostable)
+        return absorb(g, pa, xs)
+    monkeypatch.setattr(hamiltonian, "_close_cycle", spy_close)
+    monkeypatch.setattr(hamiltonian, "connect", spy_connect)
+    monkeypatch.setattr(hamiltonian, "absorb", spy_absorb)
+    for s in range(20):
+        res = find_hamiltonian_power(gnp(60, Fraction(3, 4), s),
+                                     PipelineConfig(k=3, seed=s))
+        assert res.ok
+    assert any(need for _, need in levels) and rests
+    assert all(lo >= need for lo, need in levels)
+    assert not any(rests)
 
 
 @settings(max_examples=12, deadline=None)
