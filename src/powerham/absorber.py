@@ -1,10 +1,13 @@
 """Absorbers: prebuilt path segments that can swallow one extra vertex each.
 
 A v-absorber is a clique on 2k vertices drawn from the neighborhood of v,
-split into two halves that each have a large common neighborhood.  Laid
+in ascending order; its halves are its first and last k vertices.  Laid
 down consecutively inside a path, the segment stays a valid k-path whether
 or not v is spliced into its midpoint, because v is adjacent to all 2k
 segment vertices and any window containing v sees only segment vertices.
+The halves go unchecked: the paper needs each to have a large common
+neighbourhood for its connecting lemma, but a join here is an exact
+bounded search, so a weak half can only fail a join and its attempt.
 
 The module covers the full lifecycle: sample a pairwise disjoint family
 with per-vertex rate limiting, growing each candidate lazily inside the
@@ -19,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, compress
-from math import ceil
+from itertools import compress
 from typing import Iterable
 
 from .connector import ConnectRequest, connect
@@ -30,7 +32,6 @@ from .graph import (_DIGITS, Graph, common_neighborhood_mask, is_clique,
 # unused here, but perfbench/spans.py traces clique listing at this binding
 from .graph import list_cliques  # noqa: F401
 from .pathcover import KPath, is_valid_kpath
-from .properties import is_connectable
 from .rng import DEFAULT_SEED, SplitMix64
 
 PER_VERTEX_CAP = 8
@@ -41,7 +42,7 @@ JOIN_NODE_BUDGET = 100_000   # DFS nodes each join may spend
 
 @dataclass(frozen=True)
 class VAbsorber:
-    """An ordered 2k-clique inside N(v) whose halves are both connectable."""
+    """An ordered 2k-clique inside N(v); halves clique[:k], clique[k:]."""
 
     v: int
     clique: tuple[int, ...]
@@ -59,41 +60,8 @@ class VAbsorber:
         return len(self.clique) // 2
 
     @property
-    def x_half(self) -> tuple[int, ...]:
-        return self.clique[: self.k]
-
-    @property
-    def y_half(self) -> tuple[int, ...]:
-        return self.clique[self.k :]
-
-    @property
     def mask(self) -> int:
         return mask_of(self.clique)
-
-
-def is_valid_absorber(g: Graph, ab: VAbsorber, zeta: Fraction) -> bool:
-    """Recheck every defining property of a v-absorber from scratch."""
-    if g.adj[ab.v] & ab.mask != ab.mask or not is_clique(g, ab.clique):
-        return False
-    threshold = ceil(Fraction(zeta) * g.n)
-    return (is_connectable(g, ab.x_half, threshold)
-            and is_connectable(g, ab.y_half, threshold))
-
-
-def _split(g: Graph, clique: tuple[int, ...], threshold: int
-           ) -> tuple[int, ...] | None:
-    """First x-half + y-half split of a 2k-clique with both halves connectable.
-
-    Index order, clique[0] pinned to the x-half; None when none qualifies.
-    """
-    k = len(clique) // 2
-    for rest in combinations(range(1, 2 * k), k - 1):
-        xs = (clique[0],) + tuple(clique[i] for i in rest)
-        ys = tuple(u for u in clique if u not in xs)
-        if (is_connectable(g, xs, threshold)
-                and is_connectable(g, ys, threshold)):
-            return xs + ys
-    return None
 
 
 @dataclass(frozen=True)
@@ -105,13 +73,13 @@ class FamilyStats:
     members: int          # equals sampled; perfbench/spans.py reads both
 
 
-def _grow(g: Graph, v: int, k: int, used: int, threshold: int,
-          rng: SplitMix64) -> tuple[int, ...] | None:
-    """Grow one random 2k-clique inside N(v) minus ``used`` and split it.
+def _grow(g: Graph, v: int, k: int, used: int, rng: SplitMix64
+          ) -> tuple[int, ...] | None:
+    """Grow one random 2k-clique inside N(v) minus ``used``, sorted.
 
     Each pick is uniform over the running common neighbourhood of v and
     the vertices picked so far, so the result is a clique by construction.
-    None when the neighbourhood runs dry or no split qualifies.
+    None when the neighbourhood runs dry.
     """
     pool = g.adj[v] & ~used
     picked = []
@@ -121,10 +89,10 @@ def _grow(g: Graph, v: int, k: int, used: int, threshold: int,
         u = nth_bit(pool, rng.below(pool.bit_count()))
         picked.append(u)
         pool &= g.adj[u]
-    return _split(g, tuple(sorted(picked)), threshold)
+    return tuple(sorted(picked))
 
 
-def sample_family(g: Graph, k: int, zeta: Fraction, p: Fraction, seed: int = DEFAULT_SEED,
+def sample_family(g: Graph, k: int, p: Fraction, seed: int = DEFAULT_SEED,
                   per_vertex_cap: int = PER_VERTEX_CAP,
                   max_members: int | None = None
                   ) -> tuple[tuple[VAbsorber, ...], FamilyStats]:
@@ -134,12 +102,12 @@ def sample_family(g: Graph, k: int, zeta: Fraction, p: Fraction, seed: int = DEF
     neighbours first, one admission per vertex per round.  A vertex's turn
     grows up to ``GROW_TRIES`` candidates lazily, each a random 2k-clique
     inside its neighbourhood minus the vertices admitted members already
-    hold, so candidates never overlap the family; the first one whose
-    halves are connectable and that survives a coin flip of rate p joins.
-    A vertex that grows nothing in its turn, or owns ``per_vertex_cap``
-    members, leaves the rotation; rounds end when one admits nothing or
-    the family holds ``max_members``.  A family that falls short of
-    ``max_members`` is returned as it stands; no rescue pass tops it up.
+    hold, so candidates never overlap the family; the first one that
+    survives a coin flip of rate p joins.  A vertex that grows nothing in
+    its turn, or owns ``per_vertex_cap`` members, leaves the rotation;
+    rounds end when one admits nothing or the family holds
+    ``max_members``.  A family that falls short of ``max_members`` is
+    returned as it stands; no rescue pass tops it up.
     """
     p = Fraction(p)
     if not 0 < p <= 1:
@@ -147,7 +115,6 @@ def sample_family(g: Graph, k: int, zeta: Fraction, p: Fraction, seed: int = DEF
     if per_vertex_cap < 1:
         raise InputError("per-vertex cap must be >= 1")
     rng = SplitMix64(seed)
-    threshold = ceil(Fraction(zeta) * g.n)
     # a disjoint family holds at most n / 2k members, so n never binds
     cap = g.n if max_members is None else max_members
     members: list[VAbsorber] = []
@@ -167,14 +134,14 @@ def sample_family(g: Graph, k: int, zeta: Fraction, p: Fraction, seed: int = DEF
             grew = False
             for _ in range(GROW_TRIES):
                 draws += 1
-                split = _grow(g, v, k, used, threshold, rng)
-                if split is None:
+                clique = _grow(g, v, k, used, rng)
+                if clique is None:
                     continue
                 grew = True
                 if rng.chance(p):
-                    members.append(VAbsorber(v, split))
+                    members.append(VAbsorber(v, clique))
                     owned[v] += 1
-                    used |= mask_of(split)
+                    used |= mask_of(clique)
                     break
             if grew and owned[v] < per_vertex_cap:
                 stay.append(v)
@@ -258,15 +225,15 @@ def build_absorbing_path(g: Graph, k: int, family: tuple[VAbsorber, ...],
     """Join all family members into a single k-path, in owner order.
 
     The family must be non-empty, sampled for this k, and made of pairwise
-    disjoint 2k-cliques, else InputError.  Owner adjacency and connectable
-    halves are :func:`sample_family`'s guarantees and are not rechecked:
-    nothing here depends on them, and a weak half only fails a join.
-    Members are visited ascending by the vertex they were sampled for and
-    chained by :func:`join_chain`, each join running from the y-half of the
-    previous segment to the x-half of the next under ``MAX_INNER`` and
-    ``JOIN_NODE_BUDGET``.  A failed join raises AssemblyError; a result that
-    is not a k-path raises PowerhamError (an internal fault).  Each
-    segment's host mask is computed here, once.
+    disjoint 2k-cliques, else InputError.  Owner adjacency is
+    :func:`sample_family`'s guarantee and is not rechecked: nothing here
+    depends on it.  Members are visited ascending by the vertex they were
+    sampled for and chained by :func:`join_chain`, each join running from
+    the last k vertices of the previous segment to the first k of the
+    next under ``MAX_INNER`` and ``JOIN_NODE_BUDGET``.  A failed join
+    raises AssemblyError; a result that is not a k-path raises
+    PowerhamError (an internal fault).  Each segment's host mask is
+    computed here, once.
     """
     _validate(g, k, family)
     order = sorted(range(len(family)),

@@ -36,7 +36,7 @@ MAX_HITTING_SETS = 64
 MAX_INNER_CAP = 24
 # keeps each closing search from stalling on an adversarial pool
 CONNECT_NODE_BUDGET = 200_000
-# a connectable k-tuple has at least ceil(ZETA * n) common neighbours
+# a hitting-set k-clique is kept only with >= ceil(ZETA * n) common neighbours
 ZETA = Fraction(1, 25)
 # each vertex off the absorbing path joins the reservoir at this rate
 RESERVOIR_FRACTION = Fraction(1, 10)
@@ -46,11 +46,12 @@ RESERVOIR_FRACTION = Fraction(1, 10)
 class PipelineConfig:
     """Power k, retry count and seed of one run; frozen for its report.
 
-    The rest is fixed: ZETA, RESERVOIR_FRACTION, and a cover path capped
-    to leave half the absorbing capacity (at least 1 vertex).  The cover is
-    skipped when at most min(max_inner, capacity) vertices are left off
-    the absorbing path and the reservoir: always in an attempt's first
-    reservoir round, and in its second only if none of them is unhostable.
+    The rest is fixed: ZETA (the hitting-set clique threshold only),
+    RESERVOIR_FRACTION, and a cover path capped to leave half the
+    absorbing capacity (at least 1 vertex).  The cover is skipped when
+    at most min(max_inner, capacity) vertices are left off the absorbing
+    path and the reservoir: always in an attempt's first reservoir round,
+    and in its second only if none of them is unhostable.
     """
     k: int
     retries: int = 9
@@ -415,7 +416,7 @@ def _attempt(g: Graph, cfg: PipelineConfig, seed: int, max_inner: int,
 
     # -- stage 1: absorbing path
     with _timed(timings, "absorbing_path"):
-        family, _stats = sample_family(g, k, ZETA, Fraction(1), seed=s_family,
+        family, _stats = sample_family(g, k, Fraction(1), seed=s_family,
                                        max_members=_family_target(n, k))
         stages["absorbing_path"] = {"members": len(family), "seed": s_family}
         if len(family) < 2:

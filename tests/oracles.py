@@ -116,6 +116,17 @@ def oracle_is_kpath(g, vertices, k):
     return True
 
 
+def oracle_is_absorber(g, v, clique, k):
+    """Is clique 2k distinct ascending vertices, pairwise adjacent and all
+    adjacent to v?  Edge by edge; the halves' neighbourhoods are not
+    asked for."""
+    vs = list(clique)
+    if len(vs) != 2 * k or vs != sorted(set(vs)) or v in vs:
+        return False
+    return (all(g.has_edge(v, u) for u in vs)
+            and all(g.has_edge(a, b) for a, b in combinations(vs, 2)))
+
+
 def oracle_segment_hosts(g, vertices, k, starts):
     """Per segment start s, the mask of the vertices adjacent to every one
     of vertices[s:s + 2k], tested pair by pair."""

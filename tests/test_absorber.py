@@ -15,10 +15,8 @@ from powerham.absorber import (
     VAbsorber,
     _grow,
     _match,
-    _split,
     absorb,
     build_absorbing_path,
-    is_valid_absorber,
     join_chain,
     sample_family,
 )
@@ -27,11 +25,13 @@ from powerham.errors import (AssemblyError, CapacityError, InputError,
                              PowerhamError)
 from powerham.generators import gnp
 from powerham.graph import Graph, list_cliques, mask_of
-from powerham.hamiltonian import _family_target
+from powerham.hamiltonian import (Certificate, PipelineConfig,
+                                  _family_target, find_hamiltonian_power,
+                                  verify)
 from powerham.pathcover import KPath, is_valid_kpath
 from powerham.rng import SplitMix64
 
-from oracles import (lowest_first_match, oracle_is_kpath,
+from oracles import (lowest_first_match, oracle_is_absorber, oracle_is_kpath,
                      oracle_segment_hosts, recursive_match)
 
 
@@ -44,61 +44,25 @@ def two_disjoint_cliques(size: int) -> Graph:
     return Graph.from_edges(2 * size, edges)
 
 
-def splits_around(g, v, k, threshold):
-    """_split of every 2k-clique inside N(v), in list_cliques order."""
-    return [_split(g, cl, threshold)
-            for cl in list_cliques(g, 2 * k, within=g.adj[v])]
-
-
-# --- candidate splits ---
+# --- candidate cliques ---
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_complete_graph_every_clique_qualifies(k):
     g = Graph.complete(2 * k + 2)
-    found = splits_around(g, 0, k, 1)
-    # N(0) has 2k+1 vertices, one absorber per 2k-subset of it
-    assert len(found) == 2 * k + 1
-    for split in found:
-        ab = VAbsorber(0, split)
-        assert len(ab.x_half) == k and len(ab.y_half) == k
-        assert is_valid_absorber(g, ab, Fraction(1, 100))
+    rng = SplitMix64(0)
+    grown = {_grow(g, 0, k, 0, rng) for _ in range(100)}
+    # N(0) has 2k+1 vertices, and growing reaches each 2k-subset of it
+    assert grown == set(combinations(range(1, 2 * k + 2), 2 * k))
+    assert all(oracle_is_absorber(g, 0, clique, k) for clique in grown)
 
 
 def test_low_degree_vertex_has_no_absorbers():
     g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (4, 5)])
     for v in (4, 0):   # deg 2 < 4
-        assert _grow(g, v, 2, 0, 0, SplitMix64(0)) is None
+        assert _grow(g, v, 2, 0, SplitMix64(0)) is None
     # no vertex reaches degree 2k, so none enters the admission rounds
-    fam, stats = sample_family(g, 2, Fraction(0), Fraction(1), seed=0)
+    fam, stats = sample_family(g, 2, Fraction(1), seed=0)
     assert fam == () and stats.draws == 0
-
-
-def test_enumeration_is_deterministic_and_revalidates():
-    g = gnp(30, Fraction(4, 5), seed=4)
-    zeta = Fraction(15, 100)
-    found = splits_around(g, 0, 2, 5)   # ceil(zeta * 30)
-    assert found == splits_around(g, 0, 2, 5)
-    assert any(found)
-    for split in filter(None, found):
-        assert is_valid_absorber(g, VAbsorber(0, split), zeta)
-
-
-def test_strict_threshold_filters_everything():
-    g = Graph.complete(6)
-    # a half is a single vertex with 5 neighbors; demand all 6
-    assert splits_around(g, 0, 1, 6) == [None] * 10
-
-
-def test_split_takes_the_first_qualifying_split_in_index_order():
-    # clique 0..3; 4, 5 join only 0 and 2, and 6, 7 join only 1 and 3, so
-    # {0, 1} sees just {2, 3} while {0, 2} and {1, 3} see four vertices
-    edges = [(a, b) for a in range(4) for b in range(a + 1, 4)]
-    edges += [(w, u) for w in (4, 5) for u in (0, 2)]
-    edges += [(w, u) for w in (6, 7) for u in (1, 3)]
-    g = Graph.from_edges(8, edges)
-    assert _split(g, (0, 1, 2, 3), 2) == (0, 1, 2, 3)
-    assert _split(g, (0, 1, 2, 3), 4) == (0, 2, 1, 3)
-    assert _split(g, (0, 1, 2, 3), 5) is None
 
 
 def test_absorber_shape_errors():
@@ -114,21 +78,20 @@ def test_absorber_shape_errors():
 
 def test_sample_family_members_are_disjoint_and_valid():
     g = gnp(40, Fraction(4, 5), seed=7)
-    zeta = Fraction(1, 10)
-    fam, stats = sample_family(g, 2, zeta, Fraction(1), seed=11)
+    fam, stats = sample_family(g, 2, Fraction(1), seed=11)
     assert len(fam) == stats.members > 0
     seen = set()
     for ab in fam:
         assert ab.k == 2 and not seen & set(ab.clique)
         seen |= set(ab.clique)
-        assert is_valid_absorber(g, ab, zeta)
+        assert oracle_is_absorber(g, ab.v, ab.clique, 2)
     # without max_members there is no rescue pass
     assert stats.draws >= stats.sampled == stats.members
 
 
 def test_sample_family_interleaves_owners():
     g = Graph.complete(30)
-    fam, _ = sample_family(g, 2, Fraction(1, 100), Fraction(1), seed=3)
+    fam, _ = sample_family(g, 2, Fraction(1), seed=3)
     owners = [ab.v for ab in fam]
     # round robin: the first few admissions come from distinct vertices
     head = owners[: min(5, len(owners))]
@@ -137,7 +100,7 @@ def test_sample_family_interleaves_owners():
 
 def test_sample_family_vanishing_rate_gives_empty_family():
     g = Graph.complete(20)
-    fam, stats = sample_family(g, 2, Fraction(1, 10), Fraction(1, 2 ** 40), seed=9)
+    fam, stats = sample_family(g, 2, Fraction(1, 2 ** 40), seed=9)
     assert len(fam) == 0
     assert stats.members == 0 and stats.sampled == 0
 
@@ -148,10 +111,9 @@ def test_sample_family_vanishing_rate_gives_empty_family():
        st.one_of(st.none(), st.integers(1, 6)), st.integers(0, 2 ** 32))
 def test_sample_family_properties(n, gseed, k, p, cap, max_members, seed):
     g = gnp(n, Fraction(3, 4), gseed)
-    zeta = Fraction(1, 10)
 
     def run():
-        return sample_family(g, k, zeta, p, seed=seed, per_vertex_cap=cap,
+        return sample_family(g, k, p, seed=seed, per_vertex_cap=cap,
                              max_members=max_members)
 
     fam, stats = run()
@@ -160,7 +122,7 @@ def test_sample_family_properties(n, gseed, k, p, cap, max_members, seed):
     for ab in fam:
         assert ab.k == k and not seen & ab.mask
         seen |= ab.mask
-        assert is_valid_absorber(g, ab, zeta)
+        assert oracle_is_absorber(g, ab.v, ab.clique, k)
     owners = [ab.v for ab in fam]
     assert all(owners.count(v) <= cap for v in owners)
     assert max_members is None or len(fam) <= max_members
@@ -172,8 +134,7 @@ def test_sample_family_properties(n, gseed, k, p, cap, max_members, seed):
        st.integers(0, 2 ** 64 - 1))
 def test_hostable_is_every_vertex_some_segment_hosts(n, gseed, k, seed):
     g = gnp(n, Fraction(3, 4), gseed)
-    fam, _ = sample_family(g, k, Fraction(1, 25), Fraction(1), seed=seed,
-                           max_members=4)
+    fam, _ = sample_family(g, k, Fraction(1), seed=seed, max_members=4)
     try:
         pa = build_absorbing_path(g, k, fam, seed=seed)
     except (InputError, AssemblyError):
@@ -188,8 +149,7 @@ def test_host_table_is_built_once(monkeypatch):
     # one common neighbourhood per segment while the path is built, and
     # none after: absorb and hostable read the table
     g = gnp(40, Fraction(3, 4), 1)
-    fam, _ = sample_family(g, 2, Fraction(1, 25), Fraction(1), seed=0,
-                           max_members=4)
+    fam, _ = sample_family(g, 2, Fraction(1), seed=0, max_members=4)
     assert len(fam) == 4
     calls = []
 
@@ -215,7 +175,7 @@ def test_sample_family_grows_about_one_clique_per_member():
     # random 6-tuples of N(v) are cliques ~1% of the time here, so the
     # grown draws are the difference between ms and seconds
     g = gnp(300, Fraction(3, 4), 0)
-    fam, stats = sample_family(g, 3, Fraction(1, 25), Fraction(1), seed=0,
+    fam, stats = sample_family(g, 3, Fraction(1), seed=0,
                                max_members=_family_target(300, 3))
     assert len(fam) == _family_target(300, 3)
     assert stats.draws <= 2 * stats.members
@@ -224,15 +184,15 @@ def test_sample_family_grows_about_one_clique_per_member():
 def test_sample_family_rejects_bad_rate():
     g = Graph.complete(8)
     with pytest.raises(InputError):
-        sample_family(g, 1, Fraction(1, 10), Fraction(0))
+        sample_family(g, 1, Fraction(0))
     with pytest.raises(InputError):
-        sample_family(g, 1, Fraction(1, 10), Fraction(3, 2))
+        sample_family(g, 1, Fraction(3, 2))
 
 
 def test_sample_family_is_deterministic():
     g = gnp(36, Fraction(3, 4), seed=5)
-    a, _ = sample_family(g, 2, Fraction(1, 10), Fraction(1, 2), seed=21)
-    b, _ = sample_family(g, 2, Fraction(1, 10), Fraction(1, 2), seed=21)
+    a, _ = sample_family(g, 2, Fraction(1, 2), seed=21)
+    b, _ = sample_family(g, 2, Fraction(1, 2), seed=21)
     assert a == b
 
 
@@ -248,8 +208,7 @@ def test_single_member_path_is_the_clique_itself():
 
 def test_assembled_path_keeps_segments_contiguous():
     g = Graph.complete(50)
-    zeta = Fraction(1, 2)
-    fam, _ = sample_family(g, 2, zeta, Fraction(1), seed=2, per_vertex_cap=1,
+    fam, _ = sample_family(g, 2, Fraction(1), seed=2, per_vertex_cap=1,
                            max_members=5)
     assert len(fam) == 5
     pa = build_absorbing_path(g, 2, fam, seed=8)
@@ -259,9 +218,9 @@ def test_assembled_path_keeps_segments_contiguous():
         assert pa.path.vertices[s:s + 4] == fam[mid].clique
     owners = [fam[mid].v for mid in pa.member_ids]
     assert owners == sorted(owners)
-    # outer ends are the first segment's x-half and last segment's y-half
-    assert pa.path.x_end == fam[pa.member_ids[0]].x_half
-    assert pa.path.y_end == fam[pa.member_ids[-1]].y_half
+    # outer ends are the first segment's first half and the last's second
+    assert pa.path.x_end == fam[pa.member_ids[0]].clique[:2]
+    assert pa.path.y_end == fam[pa.member_ids[-1]].clique[2:]
 
 
 def test_assembly_across_components_fails_loudly():
@@ -270,6 +229,48 @@ def test_assembly_across_components_fails_loudly():
     with pytest.raises(AssemblyError) as err:
         build_absorbing_path(g, 2, fam, seed=0)
     assert "(2, 3)" in str(err.value) and "(6, 7)" in str(err.value)
+
+
+def weak_half_graph() -> Graph:
+    """Clique 0..3, owned by 8 (its whole neighbourhood); inside it 4, 5
+    see only 0 and 2, and 6, 7 only 1 and 3.  So the sorted halves {0, 1}
+    and {2, 3} see nothing but each other and 8, while {0, 2} and {1, 3}
+    see 4, 5 or 6, 7 too.  9..14 is a K6 that 4..7 see whole."""
+    edges = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    edges += [(w, u) for w in (4, 5) for u in (0, 2)]
+    edges += [(w, u) for w in (6, 7) for u in (1, 3)]
+    edges += [(4, 5), (6, 7)] + [(8, u) for u in range(4)]
+    edges += [(a, b) for a in range(9, 15) for b in range(a + 1, 15)]
+    edges += [(w, u) for w in range(4, 8) for u in range(9, 15)]
+    return Graph.from_edges(15, edges)
+
+
+def test_a_weak_half_fails_safely():
+    g = weak_half_graph()
+
+    def assemble(clique):
+        fam = (VAbsorber(8, clique), VAbsorber(14, (9, 10, 11, 12)))
+        try:
+            pa = build_absorbing_path(g, 2, fam, seed=0)
+        except AssemblyError:
+            return None
+        assert oracle_is_kpath(g, pa.path.vertices, 2)
+        return pa.path.vertices
+
+    # the join leaves the clique from {2, 3}: sorted, nothing routes it
+    assert assemble((0, 1, 2, 3)) is None
+    assert assemble((0, 2, 1, 3)) == (0, 2, 1, 3, 6, 7, 9, 10, 11, 12)
+    # 8 has the fewest neighbours, so every attempt's family starts with
+    # the sorted clique 0..3: stage 1 fails, never the certificate check,
+    # though the graph holds a square Hamiltonian cycle
+    square = (0, 2, 4, 5, 9, 10, 11, 12, 13, 14, 6, 7, 1, 3, 8)
+    assert verify(g, Certificate(2, square)) == (True, None)
+    for seed in range(5):
+        res = find_hamiltonian_power(g, PipelineConfig(k=2, seed=seed))
+        if res.ok:
+            assert verify(g, res.certificate)[0]
+        else:
+            assert res.report.failed_stage == "absorbing_path"
 
 
 @settings(max_examples=120, deadline=None)
@@ -335,8 +336,7 @@ def test_assembly_rejects_a_member_that_is_not_a_clique():
 
 def test_assembly_on_random_graph_validates():
     g = gnp(60, Fraction(4, 5), seed=9)
-    zeta = Fraction(1, 10)
-    fam, _ = sample_family(g, 2, zeta, Fraction(1), seed=13, per_vertex_cap=1,
+    fam, _ = sample_family(g, 2, Fraction(1), seed=13, per_vertex_cap=1,
                            max_members=6)
     pa = build_absorbing_path(g, 2, fam, seed=13)
     assert is_valid_kpath(g, pa.path)
@@ -423,8 +423,7 @@ def test_absorb_rejects_vertices_already_on_the_path():
 
 def test_absorb_bulk_on_random_graph():
     g = gnp(60, Fraction(4, 5), seed=9)
-    zeta = Fraction(1, 10)
-    fam, _ = sample_family(g, 2, zeta, Fraction(1), seed=17, per_vertex_cap=1,
+    fam, _ = sample_family(g, 2, Fraction(1), seed=17, per_vertex_cap=1,
                            max_members=6)
     pa = build_absorbing_path(g, 2, fam, seed=17)
     off_path = [v for v in range(g.n) if not (pa.path.mask >> v) & 1]
@@ -439,11 +438,10 @@ def test_absorb_bulk_on_random_graph():
 
 
 def test_absorption_preserves_validity_across_seeds():
-    zeta = Fraction(1, 10)
     exercised = 0
     for seed in range(6):
         g = gnp(24, Fraction(17, 20), seed=seed)
-        fam, _ = sample_family(g, 2, zeta, Fraction(1), seed=seed, per_vertex_cap=1,
+        fam, _ = sample_family(g, 2, Fraction(1), seed=seed, per_vertex_cap=1,
                                max_members=3)
         if len(fam) < 2:
             continue

@@ -254,8 +254,8 @@ def _path_and_cliques():
     4-cliques off the path: the closing joint absorbs its rest, so the
     cycle closes on a real absorbing path."""
     g = gnp(40, Fraction(3, 4), 1)
-    family, _ = absorber.sample_family(g, 2, hamiltonian.ZETA, Fraction(1),
-                                       seed=0, max_members=4)
+    family, _ = absorber.sample_family(g, 2, Fraction(1), seed=0,
+                                       max_members=4)
     pa = absorber.build_absorbing_path(g, 2, family, seed=0)
     cliques, taken = [], pa.path.mask
     for c in list_cliques(g, 4):
